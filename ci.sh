@@ -22,6 +22,9 @@ cargo test -q
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "== perfbench self-tests (benchmark build, output checks, exact count metrics)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== topology differential tests (single-path == kernel, bit for bit)"
 cargo test -q --release -p dcb-topology --test differential
 
