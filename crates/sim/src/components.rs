@@ -224,51 +224,28 @@ impl<'a> Component<KernelWorld<'a>> for TechniqueController {
     }
 
     fn plan(&mut self, world: &mut KernelWorld<'a>, ctx: &mut Ctx) {
-        let t = ctx.now().seconds();
-        let hi = ctx.window_hi().seconds();
-        let sim = world.sim;
-        let backup = &*world.backup;
-        let load = world.load;
-        if let Mode::Serving { level, share } = &world.st.mode {
-            if *level != ThrottleLevel::NONE {
-                let full = Mode::Serving {
-                    level: ThrottleLevel::NONE,
-                    share: *share,
-                };
-                let full_load = sim.supply_load(&full, backup);
-                if let Some(tu) = first_true(t, hi, |tau| {
-                    sim.project(backup, load, t, tau)
-                        .endurance(full_load, tau)
-                        .value()
-                        .is_infinite()
-                }) {
-                    ctx.post(
-                        EventTime::new(tu),
-                        CLASS_UNTHROTTLE,
-                        Pending::Unthrottle.token(),
-                    );
-                }
-            }
+        let (unthrottle, fallback) = world.sim.locate_serving_events(
+            world.backup,
+            world.transitions,
+            &world.st.mode,
+            world.load,
+            ctx.now().seconds(),
+            ctx.window_hi().seconds(),
+            world.outage,
+        );
+        if let Some(tu) = unthrottle {
+            ctx.post(
+                EventTime::new(tu),
+                CLASS_UNTHROTTLE,
+                Pending::Unthrottle.token(),
+            );
         }
-        if let (Mode::Serving { .. }, Some(fb)) = (&world.st.mode, sim.technique().fallback()) {
-            if let Some(tf) = first_true(t, hi, |tau| {
-                let probe = sim.project(backup, load, t, tau);
-                sim.must_fall_back(
-                    fb,
-                    &probe,
-                    world.transitions,
-                    &world.st.mode,
-                    tau,
-                    world.outage,
-                    Seconds::ZERO,
-                )
-            }) {
-                ctx.post(
-                    EventTime::new(tf),
-                    CLASS_FALLBACK,
-                    Pending::Fallback.token(),
-                );
-            }
+        if let Some(tf) = fallback {
+            ctx.post(
+                EventTime::new(tf),
+                CLASS_FALLBACK,
+                Pending::Fallback.token(),
+            );
         }
     }
 

@@ -23,16 +23,17 @@
 //! original hand-rolled loop kept as a bit-identity oracle. This module
 //! keeps the stable entry points ([`OutageSim::run_trajectory`] and
 //! friends) and the transition rules both hosts share: the instantaneous
-//! mode checks, the shortfall crash rule, the charge-projected probe
-//! behind located-event searches, and the per-end-cause telemetry.
+//! mode checks, the shortfall crash rule, the located-event searches of a
+//! serving cluster, and the per-end-cause telemetry.
 
 use crate::components;
 use crate::engine::{Mode, OutageSim, RunState};
 use crate::segment::{Segment, SegmentEnd, Trajectory};
 use crate::Fallback;
+use dcb_engine::locate::first_true;
 use dcb_power::BackupSystem;
 use dcb_server::{ThrottleLevel, TransitionTimes};
-use dcb_units::{contract, Fraction, Seconds, Watts};
+use dcb_units::{contract, Seconds, Watts};
 
 /// Event budget per outage. Real trajectories resolve in well under a
 /// hundred events; the cap is a modeling-bug backstop, not a tuning knob.
@@ -256,20 +257,61 @@ impl OutageSim {
         }
     }
 
-    /// The backup system as it will stand at `to`, assuming `load` is
-    /// drawn from `from` — the probe behind predicate-shaped event
-    /// searches. Only the battery charge is projected; DG availability is
-    /// a pure function of time.
-    pub(crate) fn project(
+    /// The located events of a cluster serving in `mode` at `t` with the
+    /// window pinned at `hi`: the DG crossover after which the unthrottled
+    /// load is carried indefinitely, and the latest safe instant to enter
+    /// the technique's fallback. `load` is the serving supply load.
+    ///
+    /// Each predicate reads the battery charge projected to the instant τ
+    /// under test. Everything that does not move with τ is planned once per
+    /// search: the charge projection of `load` over the window, the
+    /// unthrottled load's endurance and the fallback reserve. An
+    /// evaluation is then a few flops and at most one `powf`, running the
+    /// same floating-point operations as projecting the backup system to τ
+    /// and asking it afresh, so every root is unchanged to the bit.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn locate_serving_events(
         &self,
         backup: &BackupSystem,
+        transitions: &TransitionTimes,
+        mode: &Mode,
         load: Watts,
-        from: Seconds,
-        to: Seconds,
-    ) -> BackupSystem {
-        let charge_now = backup.ups().map_or(0.0, |u| u.charge().value());
-        let used = backup.charge_used_for(load, from, to);
-        backup.with_ups_charge(Fraction::new((charge_now - used).max(0.0)))
+        t: Seconds,
+        hi: Seconds,
+        outage: Seconds,
+    ) -> (Option<Seconds>, Option<Seconds>) {
+        let Mode::Serving { level, share } = *mode else {
+            return (None, None);
+        };
+        let fallback = self.technique().fallback();
+        if level == ThrottleLevel::NONE && fallback.is_none() {
+            return (None, None);
+        }
+        let projection = backup.charge_projection(load, t, hi);
+        let unthrottle = if level == ThrottleLevel::NONE {
+            None
+        } else {
+            let full = Mode::Serving {
+                level: ThrottleLevel::NONE,
+                share,
+            };
+            let endurance = backup
+                .endurance_plan(self.supply_load(&full, backup))
+                .solved();
+            first_true(t, hi, |tau| {
+                endurance
+                    .at(projection.charge_at(tau), tau)
+                    .value()
+                    .is_infinite()
+            })
+        };
+        let fall_back = fallback.and_then(|fb| {
+            let plan = self.fallback_plan(fb, backup, transitions, mode).solved();
+            first_true(t, hi, |tau| {
+                plan.falls_back(projection.charge_at(tau), tau, outage, Seconds::ZERO)
+            })
+        });
+        (unthrottle, fall_back)
     }
 }
 
