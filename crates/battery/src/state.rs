@@ -1,6 +1,6 @@
 //! Stateful battery discharge under time-varying load.
 
-use crate::PackSpec;
+use crate::{PackSpec, RampDrain};
 use dcb_units::{contract, Fraction, Seconds, WattHours, Watts};
 
 /// A battery with a state of charge, dischargeable step by step.
@@ -170,9 +170,9 @@ impl Battery {
                 energy_delivered: WattHours::ZERO,
             };
         }
-        let endurance = self.remaining_runtime_at(load);
+        let full_runtime = self.spec.runtime_at(load);
+        let endurance = full_runtime * self.charge.value();
         if endurance >= interval {
-            let full_runtime = self.spec.runtime_at(load);
             let used = if full_runtime.value().is_finite() && full_runtime.value() > 0.0 {
                 interval.value() / full_runtime.value()
             } else {
@@ -272,12 +272,8 @@ impl Battery {
         let trapezoid = |end: Watts, over: Seconds| -> WattHours {
             Watts::new(0.5 * (p0.value() + end.value())) * over
         };
-        match self
-            .spec
-            .depletion_time_over_ramp(self.charge, p0, p1, interval)
-        {
-            None => {
-                let used = self.spec.charge_used_over_ramp(p0, p1, interval);
+        match self.spec.drain_over_ramp(self.charge, p0, p1, interval) {
+            RampDrain::Survived(used) => {
                 // A draw that lands exactly on the depletion boundary
                 // leaves floating-point dust, not charge: snap it to empty
                 // so `is_empty` (and everything gated on it, like UPS
@@ -297,7 +293,7 @@ impl Battery {
                     energy_delivered: trapezoid(p1, interval),
                 }
             }
-            Some(tau) => {
+            RampDrain::Depleted(tau) => {
                 let slope = (p1.value() - p0.value()) / interval.value();
                 let p_tau = Watts::new(p0.value() + slope * tau.value());
                 self.cycles += self.charge.value();
