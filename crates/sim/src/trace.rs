@@ -74,7 +74,7 @@ impl OutageSim {
     /// Panics if `span` is not positive.
     #[must_use]
     pub fn run_trace(&self, trace: &OutageTrace, span: Seconds) -> TraceOutcome {
-        self.run_trace_trajectories(trace, span).0
+        self.replay(trace, span, |trajectory| trajectory.outcome)
     }
 
     /// Like [`run_trace`](Self::run_trace), but also returns the full
@@ -91,10 +91,27 @@ impl OutageSim {
         trace: &OutageTrace,
         span: Seconds,
     ) -> (TraceOutcome, Vec<Trajectory>) {
+        let mut trajectories = Vec::with_capacity(trace.len());
+        let outcome = self.replay(trace, span, |trajectory| {
+            let outcome = trajectory.outcome.clone();
+            trajectories.push(trajectory);
+            outcome
+        });
+        (outcome, trajectories)
+    }
+
+    /// The replay loop behind both trace entry points: threads one backup
+    /// system through every outage, recharging in the gaps, and hands
+    /// each outage's trajectory to `keep`, which returns its outcome.
+    fn replay(
+        &self,
+        trace: &OutageTrace,
+        span: Seconds,
+        mut keep: impl FnMut(Trajectory) -> SimOutcome,
+    ) -> TraceOutcome {
         assert!(span.value() > 0.0, "trace span must be positive");
         let mut backup = self.config().instantiate(self.cluster().peak_power());
         let mut outcomes = Vec::with_capacity(trace.len());
-        let mut trajectories = Vec::with_capacity(trace.len());
         let mut last_end = Seconds::ZERO;
         for outage in trace.outages() {
             let gap = (outage.start - last_end).max(Seconds::ZERO);
@@ -102,19 +119,16 @@ impl OutageSim {
             // Diurnal workloads see the utilization of the hour the outage
             // strikes.
             let resolved = self.resolved_at(outage.start);
-            let trajectory = resolved.run_with_backup_trajectory(outage.duration, &mut backup);
-            outcomes.push(trajectory.outcome.clone());
-            trajectories.push(trajectory);
+            outcomes.push(keep(
+                resolved.run_with_backup_trajectory(outage.duration, &mut backup),
+            ));
             last_end = outage.end();
         }
-        (
-            TraceOutcome {
-                outcomes,
-                span,
-                battery_cycles: backup.battery_cycles(),
-            },
-            trajectories,
-        )
+        TraceOutcome {
+            outcomes,
+            span,
+            battery_cycles: backup.battery_cycles(),
+        }
     }
 }
 
@@ -251,6 +265,40 @@ mod tests {
         }
         // And the plain run_trace is the same computation.
         assert_eq!(s.run_trace(&trace, Seconds::new(YEAR)), outcome);
+    }
+
+    #[test]
+    fn diurnal_trace_resolves_each_outage_at_its_start() {
+        // Outages a day and a half apart find a recharged battery, so each
+        // replays as an isolated outage at its own hour (the energy and
+        // peak accounting alone accumulate across the trace).
+        use dcb_workload::LoadProfile;
+        let workload =
+            Workload::specjbb().with_load_profile(LoadProfile::typical_diurnal(Fraction::new(0.9)));
+        let s = OutageSim::new(
+            Cluster::rack(workload),
+            BackupConfig::no_dg(),
+            Technique::ride_through(),
+        );
+        let outages = [
+            Outage {
+                start: Seconds::from_hours(8.0),
+                duration: Seconds::from_minutes(3.0),
+            },
+            Outage {
+                start: Seconds::from_hours(44.0),
+                duration: Seconds::from_minutes(3.0),
+            },
+        ];
+        let outcome = s.run_trace(&OutageTrace::new(outages.to_vec()), Seconds::new(YEAR));
+        for (o, outage) in outcome.outcomes.iter().zip(&outages) {
+            let isolated = s.run_at(outage.start, outage.duration);
+            assert_eq!(o.feasible, isolated.feasible);
+            assert_eq!(o.perf_during_outage, isolated.perf_during_outage);
+            assert_eq!(o.downtime, isolated.downtime);
+        }
+        // The 8 am trough rides through; the 8 pm peak does not.
+        assert!(outcome.outcomes[0].feasible && !outcome.outcomes[1].feasible);
     }
 
     #[test]
