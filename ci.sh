@@ -41,6 +41,10 @@ comp_end=$(date +%s)
 comp_elapsed=$((comp_end - comp_start))
 test "$comp_elapsed" -le 120 || { echo "componentized differential took ${comp_elapsed}s (> 120s budget)"; exit 1; }
 
+echo "== golden digests (kernel trajectories and repro all output, bit for bit)"
+cargo test -q --release -p dcb-sim --test kernel_golden
+cargo test -q --release -p dcb-bench --test repro_golden
+
 echo "== engine bench smoke (event kernel vs stepped oracle)"
 DCB_ENGINE_BENCH_SMOKE=1 cargo bench -q -p dcb-bench --bench engine
 
