@@ -45,6 +45,11 @@ echo "== golden digests (kernel trajectories and repro all output, bit for bit)"
 cargo test -q --release -p dcb-sim --test kernel_golden
 cargo test -q --release -p dcb-bench --test repro_golden
 
+echo "== digest grouping and hostile specs (typed fingerprints group as Debug text does; no spec panics)"
+cargo test -q --release -p dcb-fleet --test grouping
+cargo test -q --release -p dcb-topology --test grouping
+cargo test -q --release -p dcb-topology --test hostile_spec
+
 echo "== engine bench smoke (event kernel vs stepped oracle)"
 DCB_ENGINE_BENCH_SMOKE=1 cargo bench -q -p dcb-bench --bench engine
 

@@ -1,7 +1,7 @@
 //! Battery chemistries and their discharge/cost characteristics.
 
 use core::fmt;
-use dcb_units::Years;
+use dcb_units::{StableHash, StableHasher, Years};
 
 /// A battery chemistry, determining the nonlinearity of discharge and the
 /// replacement lifetime used for cost amortization.
@@ -95,6 +95,16 @@ impl Chemistry {
             Chemistry::LeadAcid => dcb_units::Seconds::from_hours(10.0),
             Chemistry::LithiumIon => dcb_units::Seconds::from_hours(2.0),
         }
+    }
+}
+
+impl StableHash for Chemistry {
+    fn stable_hash(&self, hasher: &mut StableHasher) {
+        let tag: u8 = match self {
+            Chemistry::LeadAcid => 0,
+            Chemistry::LithiumIon => 1,
+        };
+        tag.stable_hash(hasher);
     }
 }
 

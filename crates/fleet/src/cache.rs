@@ -13,7 +13,7 @@ fn lock_shard<V>(shard: &Mutex<HashMap<u128, V>>) -> MutexGuard<'_, HashMap<u128
 }
 
 /// A sharded, thread-safe memoization map keyed by 128-bit stable digests
-/// (see [`crate::Scenario::digest`] and [`crate::stable_digest`]).
+/// (see [`crate::Scenario::digest`] and [`crate::StableHash`]).
 ///
 /// Keys are the digests themselves: with 128-bit digests the accidental
 /// collision probability is negligible, so no full key is stored. Lookups

@@ -16,7 +16,8 @@
 //!   **bit-identical** to the serial reference.
 //! * [`EvalCache`] — a sharded memoization map keyed by a 128-bit stable
 //!   digest, so repeated sweeps, bisection probes, and planner searches
-//!   never re-simulate the same point.
+//!   never re-simulate the same point. Digests come from the typed
+//!   [`StableHash`] encoding, re-exported here with its [`StableHasher`].
 //! * [`Scenario`] — the canonical evaluation key: one
 //!   `(cluster, config, technique, duration)` point with a stable digest.
 //! * [`FleetPool::monte_carlo`] — sharded Monte-Carlo driving with
@@ -40,11 +41,10 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod hash;
 mod pool;
 mod scenario;
 
 pub use cache::{CacheStats, EvalCache};
-pub use hash::{stable_digest, StableHasher};
+pub use dcb_units::{StableHash, StableHasher};
 pub use pool::{trial_seed, FleetPool, Trial};
 pub use scenario::Scenario;

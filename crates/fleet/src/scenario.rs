@@ -1,10 +1,9 @@
 //! The canonical evaluation key: one (cluster, config, technique, duration)
 //! point.
 
-use crate::hash::StableHasher;
 use dcb_power::BackupConfig;
 use dcb_sim::{Cluster, Technique};
-use dcb_units::Seconds;
+use dcb_units::{Seconds, StableHash, StableHasher};
 
 /// One point in the cost-performability space, as a value: the cluster
 /// spec, backup configuration, outage-handling technique, and outage
@@ -45,19 +44,30 @@ impl Scenario {
     /// The scenario's stable 128-bit digest, suitable as an
     /// [`crate::EvalCache`] key.
     ///
-    /// Hashes each component through its derived-`Debug` canonical encoding
-    /// (see [`StableHasher::write_debug`]): every semantic field — server
-    /// spec, workload parameters, DG/UPS fractions, battery runtime and
-    /// chemistry, technique actions — participates, and the duration is
-    /// hashed by IEEE-754 bit pattern.
+    /// Hashes each component through its typed [`StableHash`] encoding:
+    /// every field — server spec, workload parameters, DG/UPS fractions,
+    /// battery runtime and chemistry, technique actions, the duration —
+    /// participates, floats by IEEE-754 bit pattern.
     #[must_use]
     pub fn digest(&self) -> u128 {
         let mut hasher = StableHasher::new();
-        hasher.write_debug(&self.cluster);
-        hasher.write_debug(&self.config);
-        hasher.write_debug(&self.technique);
-        hasher.write_f64(self.duration.value());
+        self.stable_hash(&mut hasher);
         hasher.finish()
+    }
+}
+
+impl StableHash for Scenario {
+    fn stable_hash(&self, hasher: &mut StableHasher) {
+        let Self {
+            cluster,
+            config,
+            technique,
+            duration,
+        } = self;
+        cluster.stable_hash(hasher);
+        config.stable_hash(hasher);
+        technique.stable_hash(hasher);
+        duration.stable_hash(hasher);
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::{BackupSystem, DieselGenerator, Ups};
 use core::fmt;
 use dcb_battery::Chemistry;
-use dcb_units::{Fraction, Seconds, Watts};
+use dcb_units::{Fraction, Seconds, StableHash, StableHasher, Watts};
 
 /// A backup-infrastructure provisioning choice: how much DG power, UPS
 /// power, and UPS battery energy to buy, as fractions of the datacenter's
@@ -228,6 +228,23 @@ impl BackupConfig {
             )
         });
         BackupSystem::new(dg, ups)
+    }
+}
+
+impl StableHash for BackupConfig {
+    fn stable_hash(&self, hasher: &mut StableHasher) {
+        let Self {
+            label,
+            dg_power,
+            ups_power,
+            ups_runtime,
+            chemistry,
+        } = self;
+        label.stable_hash(hasher);
+        dg_power.stable_hash(hasher);
+        ups_power.stable_hash(hasher);
+        ups_runtime.stable_hash(hasher);
+        chemistry.stable_hash(hasher);
     }
 }
 

@@ -1,7 +1,9 @@
 //! Server hardware specification and the calibrated power model.
 
 use crate::states::{PowerState, ThrottleLevel};
-use dcb_units::{Fraction, Gigabytes, MegabytesPerSecond, Seconds, Watts};
+use dcb_units::{
+    Fraction, Gigabytes, MegabytesPerSecond, Seconds, StableHash, StableHasher, Watts,
+};
 
 /// Static description of a server: its power envelope, memory, and I/O
 /// bandwidths.
@@ -183,6 +185,29 @@ impl ServerSpec {
     }
 }
 
+impl StableHash for ServerSpec {
+    fn stable_hash(&self, hasher: &mut StableHasher) {
+        let Self {
+            idle_power,
+            peak_power,
+            sleep_power,
+            memory,
+            disk_write,
+            disk_read,
+            nic,
+            boot_time,
+        } = self;
+        idle_power.stable_hash(hasher);
+        peak_power.stable_hash(hasher);
+        sleep_power.stable_hash(hasher);
+        memory.stable_hash(hasher);
+        disk_write.stable_hash(hasher);
+        disk_read.stable_hash(hasher);
+        nic.stable_hash(hasher);
+        boot_time.stable_hash(hasher);
+    }
+}
+
 impl Default for ServerSpec {
     fn default() -> Self {
         Self::paper_testbed()
@@ -194,6 +219,36 @@ mod tests {
     use super::*;
     use crate::{PState, TState};
     use proptest::prelude::*;
+
+    fn digest(spec: &ServerSpec) -> u128 {
+        let mut hasher = StableHasher::new();
+        spec.stable_hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// Fields no public builder sets alone are nudged directly here.
+    #[test]
+    fn every_field_moves_the_stable_hash() {
+        let nudges: [fn(&mut ServerSpec); 8] = [
+            |s| s.idle_power = Watts::new(81.0),
+            |s| s.peak_power = Watts::new(251.0),
+            |s| s.sleep_power = Watts::new(6.0),
+            |s| s.memory = Gigabytes::new(65.0),
+            |s| s.disk_write = MegabytesPerSecond::new(81.0),
+            |s| s.disk_read = MegabytesPerSecond::new(121.0),
+            |s| s.nic = MegabytesPerSecond::new(126.0),
+            |s| s.boot_time = Seconds::new(121.0),
+        ];
+        let base = ServerSpec::paper_testbed();
+        let mut seen = vec![digest(&base)];
+        for (field, nudge) in nudges.iter().enumerate() {
+            let mut spec = base;
+            nudge(&mut spec);
+            let d = digest(&spec);
+            assert!(!seen.contains(&d), "field {field} does not move the hash");
+            seen.push(d);
+        }
+    }
 
     #[test]
     fn envelope_endpoints() {

@@ -1,7 +1,7 @@
 //! Processor throttling states and the server power-state machine.
 
 use core::fmt;
-use dcb_units::Fraction;
+use dcb_units::{Fraction, StableHash, StableHasher};
 
 /// A voltage/frequency P-state (index 0 is full speed).
 ///
@@ -194,6 +194,17 @@ impl ThrottleLevel {
                     .total_cmp(&b.dynamic_power_factor())
             })
             .unwrap_or(Self::NONE)
+    }
+}
+
+impl StableHash for ThrottleLevel {
+    fn stable_hash(&self, hasher: &mut StableHasher) {
+        let Self {
+            p: PState(p),
+            t: TState(t),
+        } = self;
+        p.stable_hash(hasher);
+        t.stable_hash(hasher);
     }
 }
 

@@ -1,7 +1,7 @@
 //! Clusters: homogeneous groups of servers running one workload.
 
 use dcb_server::ServerSpec;
-use dcb_units::Watts;
+use dcb_units::{StableHash, StableHasher, Watts};
 use dcb_workload::Workload;
 
 /// A homogeneous cluster: `size` identical servers each hosting one
@@ -68,6 +68,19 @@ impl Cluster {
     #[must_use]
     pub fn peak_power(&self) -> Watts {
         self.spec.peak_power() * f64::from(self.size)
+    }
+}
+
+impl StableHash for Cluster {
+    fn stable_hash(&self, hasher: &mut StableHasher) {
+        let Self {
+            size,
+            spec,
+            workload,
+        } = self;
+        size.stable_hash(hasher);
+        spec.stable_hash(hasher);
+        workload.stable_hash(hasher);
     }
 }
 

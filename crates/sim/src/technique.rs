@@ -2,6 +2,7 @@
 
 use core::fmt;
 use dcb_server::{PState, TState, ThrottleLevel};
+use dcb_units::{StableHash, StableHasher};
 
 /// What the cluster does at the instant the outage begins (Table 4, "Start
 /// of utility outage" column).
@@ -374,6 +375,72 @@ impl Technique {
                 | InitialAction::PersistNvdimm
                 | InitialAction::StartRemoteSleep(_)
         ) || self.fallback.is_some()
+    }
+}
+
+impl StableHash for InitialAction {
+    fn stable_hash(&self, hasher: &mut StableHasher) {
+        match self {
+            Self::Continue(level) => {
+                0u8.stable_hash(hasher);
+                level.stable_hash(hasher);
+            }
+            Self::Crash => 1u8.stable_hash(hasher),
+            Self::StartSleep(level) => {
+                2u8.stable_hash(hasher);
+                level.stable_hash(hasher);
+            }
+            Self::StartHibernate { level, proactive } => {
+                3u8.stable_hash(hasher);
+                level.stable_hash(hasher);
+                proactive.stable_hash(hasher);
+            }
+            Self::PersistNvdimm => 4u8.stable_hash(hasher),
+            Self::StartRemoteSleep(level) => {
+                5u8.stable_hash(hasher);
+                level.stable_hash(hasher);
+            }
+            Self::StartMigration {
+                proactive,
+                during,
+                after,
+            } => {
+                6u8.stable_hash(hasher);
+                proactive.stable_hash(hasher);
+                during.stable_hash(hasher);
+                after.stable_hash(hasher);
+            }
+        }
+    }
+}
+
+impl StableHash for Fallback {
+    fn stable_hash(&self, hasher: &mut StableHasher) {
+        match self {
+            Self::Sleep(level) => {
+                0u8.stable_hash(hasher);
+                level.stable_hash(hasher);
+            }
+            Self::Hibernate { level, proactive } => {
+                1u8.stable_hash(hasher);
+                level.stable_hash(hasher);
+                proactive.stable_hash(hasher);
+            }
+            Self::Nvdimm => 2u8.stable_hash(hasher),
+        }
+    }
+}
+
+impl StableHash for Technique {
+    fn stable_hash(&self, hasher: &mut StableHasher) {
+        let Self {
+            name,
+            initial,
+            fallback,
+        } = self;
+        name.stable_hash(hasher);
+        initial.stable_hash(hasher);
+        fallback.stable_hash(hasher);
     }
 }
 

@@ -43,7 +43,10 @@ fn fold_outcome(hasher: &mut StableHasher, outcome: &SimOutcome) {
     hasher.write_f64(outcome.downtime.expected.value());
     hasher.write_f64(outcome.downtime.max.value());
     hasher.write_f64(outcome.downtime_during_outage.value());
-    hasher.write_debug(&outcome.final_state);
+    // The terminal state's `Debug` name and a 0xFE terminator: the bytes
+    // the digest was first pinned with.
+    hasher.write_bytes(format!("{:?}", outcome.final_state).as_bytes());
+    hasher.write_bytes(&[0xFE]);
 }
 
 fn fold_trajectory(hasher: &mut StableHasher, trajectory: &Trajectory) {

@@ -13,7 +13,7 @@
 
 use dcb_power::BackupConfig;
 use dcb_sim::{Cluster, OutageSim, SimOutcome, Technique};
-use dcb_units::Seconds;
+use dcb_units::{Seconds, StableHash, StableHasher};
 
 /// How a served leaf's backup slice is sized.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,6 +46,41 @@ pub enum LeafRun {
         /// The homogeneous server group behind this leaf.
         cluster: Cluster,
     },
+}
+
+impl StableHash for BackupShare {
+    fn stable_hash(&self, hasher: &mut StableHasher) {
+        match self {
+            Self::Proportional => 0u8.stable_hash(hasher),
+            Self::Boosted(boost) => {
+                1u8.stable_hash(hasher);
+                boost.stable_hash(hasher);
+            }
+        }
+    }
+}
+
+impl StableHash for LeafRun {
+    fn stable_hash(&self, hasher: &mut StableHasher) {
+        match self {
+            Self::Serve {
+                cluster,
+                config,
+                technique,
+                share,
+            } => {
+                0u8.stable_hash(hasher);
+                cluster.stable_hash(hasher);
+                config.stable_hash(hasher);
+                technique.stable_hash(hasher);
+                share.stable_hash(hasher);
+            }
+            Self::Shed { cluster } => {
+                1u8.stable_hash(hasher);
+                cluster.stable_hash(hasher);
+            }
+        }
+    }
 }
 
 /// Turns planned [`LeafRun`]s into outcomes.

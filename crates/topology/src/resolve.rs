@@ -34,11 +34,11 @@ use crate::digest::collapse;
 use crate::evaluate::{BackupShare, KernelEvaluator, LeafEvaluator, LeafRun};
 use crate::node::{Body, Consumer, DeficitPolicy, Level, Node, Topology, TopologyError};
 use crate::outcome::{LevelReport, ResolveStats, TopologyOutcome};
-use dcb_fleet::{FleetPool, StableHasher};
+use dcb_fleet::FleetPool;
 use dcb_power::BackupConfig;
 use dcb_sim::{Cluster, FinalState, SimOutcome, Technique};
 use dcb_trace::EventKind;
-use dcb_units::{Fraction, Seconds, WattHours, Watts};
+use dcb_units::{Fraction, Seconds, StableHash, StableHasher, WattHours, Watts};
 use dcb_workload::DowntimeRange;
 use std::collections::BTreeMap;
 
@@ -171,7 +171,7 @@ pub fn resolve_with_evaluator<E: LeafEvaluator + ?Sized>(
 /// identical jobs within one resolve.
 fn job_digest(run: &LeafRun) -> u128 {
     let mut hasher = StableHasher::new();
-    hasher.write_debug(run);
+    run.stable_hash(&mut hasher);
     hasher.finish()
 }
 
@@ -756,6 +756,96 @@ impl LevelAcc {
                 .worst_downtime
                 .unwrap_or_else(|| DowntimeRange::exact(Seconds::ZERO)),
             min_perf: self.min_perf.unwrap_or(Fraction::ONE),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dcb_workload::Workload;
+
+    #[test]
+    fn every_leaf_run_field_moves_the_job_digest() {
+        let cluster = Cluster::rack(Workload::specjbb());
+        let serve = |cluster, config, technique, share| LeafRun::Serve {
+            cluster,
+            config,
+            technique,
+            share,
+        };
+        let base = || {
+            serve(
+                cluster,
+                BackupConfig::max_perf(),
+                Technique::sleep(),
+                BackupShare::Proportional,
+            )
+        };
+        let variants = [
+            ("base", base()),
+            (
+                "serve.cluster",
+                serve(
+                    Cluster::rack(Workload::memcached()),
+                    BackupConfig::max_perf(),
+                    Technique::sleep(),
+                    BackupShare::Proportional,
+                ),
+            ),
+            (
+                "serve.config",
+                serve(
+                    cluster,
+                    BackupConfig::no_dg(),
+                    Technique::sleep(),
+                    BackupShare::Proportional,
+                ),
+            ),
+            (
+                "serve.technique",
+                serve(
+                    cluster,
+                    BackupConfig::max_perf(),
+                    Technique::hibernate(),
+                    BackupShare::Proportional,
+                ),
+            ),
+            (
+                "serve.share",
+                serve(
+                    cluster,
+                    BackupConfig::max_perf(),
+                    Technique::sleep(),
+                    BackupShare::Boosted(1.5),
+                ),
+            ),
+            (
+                "serve.share.boost",
+                serve(
+                    cluster,
+                    BackupConfig::max_perf(),
+                    Technique::sleep(),
+                    BackupShare::Boosted(2.0),
+                ),
+            ),
+            ("shed", LeafRun::Shed { cluster }),
+            (
+                "shed.cluster",
+                LeafRun::Shed {
+                    cluster: Cluster::rack(Workload::memcached()),
+                },
+            ),
+        ];
+        assert_eq!(job_digest(&base()), job_digest(&base()));
+        for (i, (name_a, a)) in variants.iter().enumerate() {
+            for (name_b, b) in &variants[i + 1..] {
+                assert_ne!(
+                    job_digest(a),
+                    job_digest(b),
+                    "`{name_a}` and `{name_b}` share a digest"
+                );
+            }
         }
     }
 }

@@ -72,6 +72,7 @@ impl std::error::Error for SpecError {}
 /// structural problem ([`crate::TopologyError`] rendered with the root
 /// line number).
 pub fn parse_spec(text: &str) -> Result<Topology, SpecError> {
+    let names = NameTables::new();
     let mut drafts: Vec<(usize, usize, Node)> = Vec::new();
     for (index, raw) in text.lines().enumerate() {
         let line_no = index + 1;
@@ -80,7 +81,7 @@ pub fn parse_spec(text: &str) -> Result<Topology, SpecError> {
             continue;
         }
         let depth = indent_depth(without_comment, line_no)?;
-        let node = parse_line(without_comment.trim(), line_no)?;
+        let node = parse_line(without_comment.trim(), line_no, &names)?;
         drafts.push((line_no, depth, node));
     }
     let Some(&(root_line, first_depth, _)) = drafts.first() else {
@@ -179,7 +180,7 @@ fn indent_depth(line: &str, line_no: usize) -> Result<usize, SpecError> {
 }
 
 /// Parses one trimmed, non-empty line into a node.
-fn parse_line(line: &str, line_no: usize) -> Result<Node, SpecError> {
+fn parse_line(line: &str, line_no: usize, names: &NameTables) -> Result<Node, SpecError> {
     let err = |message: String| SpecError {
         line: line_no,
         message,
@@ -212,10 +213,11 @@ fn parse_line(line: &str, line_no: usize) -> Result<Node, SpecError> {
         if let Some((key, value)) = token.split_once('=') {
             match key {
                 "backup" => {
-                    backup =
-                        Some(find_config(value).ok_or_else(|| {
-                            err(format!("unknown backup configuration `{value}`"))
-                        })?);
+                    backup = Some(
+                        lookup(&names.configs, &normalize(value))
+                            .ok_or_else(|| err(format!("unknown backup configuration `{value}`")))?
+                            .clone(),
+                    );
                 }
                 "feed_kw" => {
                     let magnitude: f64 = value
@@ -234,8 +236,9 @@ fn parse_line(line: &str, line_no: usize) -> Result<Node, SpecError> {
                 }
                 "technique" => {
                     technique = Some(
-                        find_technique(value)
-                            .ok_or_else(|| err(format!("unknown technique `{value}`")))?,
+                        lookup(&names.techniques, &normalize(value))
+                            .ok_or_else(|| err(format!("unknown technique `{value}`")))?
+                            .clone(),
                     );
                 }
                 "servers" => {
@@ -318,22 +321,55 @@ fn normalize(s: &str) -> String {
         .collect()
 }
 
+/// The Table-3 configurations and catalog techniques under their
+/// normalized names, in catalog order: built once per [`parse_spec`], so
+/// each line only normalizes its own tokens.
+struct NameTables {
+    configs: Vec<(String, BackupConfig)>,
+    techniques: Vec<(String, Technique)>,
+}
+
+impl NameTables {
+    fn new() -> Self {
+        Self {
+            configs: config_table(),
+            techniques: technique_table(),
+        }
+    }
+}
+
+fn config_table() -> Vec<(String, BackupConfig)> {
+    BackupConfig::table3()
+        .into_iter()
+        .map(|config| (normalize(config.label()), config))
+        .collect()
+}
+
+fn technique_table() -> Vec<(String, Technique)> {
+    Technique::extended_catalog()
+        .into_iter()
+        .map(|technique| (normalize(technique.name()), technique))
+        .collect()
+}
+
+/// The first entry filed under the normalized name `wanted`.
+fn lookup<'a, T>(table: &'a [(String, T)], wanted: &str) -> Option<&'a T> {
+    table
+        .iter()
+        .find(|(name, _)| name == wanted)
+        .map(|(_, value)| value)
+}
+
 /// Resolves a Table-3 configuration by normalized label.
 #[must_use]
 pub fn find_config(raw: &str) -> Option<BackupConfig> {
-    let wanted = normalize(raw);
-    BackupConfig::table3()
-        .into_iter()
-        .find(|config| normalize(config.label()) == wanted)
+    lookup(&config_table(), &normalize(raw)).cloned()
 }
 
 /// Resolves a catalog technique by normalized name.
 #[must_use]
 pub fn find_technique(raw: &str) -> Option<Technique> {
-    let wanted = normalize(raw);
-    Technique::extended_catalog()
-        .into_iter()
-        .find(|technique| normalize(technique.name()) == wanted)
+    lookup(&technique_table(), &normalize(raw)).cloned()
 }
 
 /// Resolves one of the paper's four workloads by normalized name.

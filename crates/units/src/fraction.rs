@@ -135,6 +135,13 @@ impl From<Fraction> for f64 {
     }
 }
 
+impl crate::StableHash for Fraction {
+    fn stable_hash(&self, hasher: &mut crate::StableHasher) {
+        let Self(value) = self;
+        value.stable_hash(hasher);
+    }
+}
+
 impl fmt::Display for Fraction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if let Some(precision) = f.precision() {

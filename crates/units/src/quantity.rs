@@ -3,7 +3,7 @@
 /// Defines a quantity newtype with the arithmetic shared by all quantities:
 /// addition and subtraction with itself, scaling by `f64`, division by
 /// itself (yielding a dimensionless `f64`), ordering, `Display` with a unit
-/// suffix, and serde support.
+/// suffix, a [`crate::StableHash`] fingerprint, and serde support.
 macro_rules! quantity {
     (
         $(#[$meta:meta])*
@@ -170,6 +170,13 @@ macro_rules! quantity {
         impl<'a> core::iter::Sum<&'a $name> for $name {
             fn sum<I: Iterator<Item = &'a Self>>(iter: I) -> Self {
                 Self(iter.map(|q| q.0).sum())
+            }
+        }
+
+        impl crate::StableHash for $name {
+            fn stable_hash(&self, hasher: &mut crate::StableHasher) {
+                let Self(value) = self;
+                value.stable_hash(hasher);
             }
         }
 

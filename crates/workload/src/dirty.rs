@@ -1,6 +1,6 @@
 //! Page-dirtying behaviour, driving migration and proactive techniques.
 
-use dcb_units::{Gigabytes, MegabytesPerSecond};
+use dcb_units::{Gigabytes, MegabytesPerSecond, StableHash, StableHasher};
 
 /// How fast an application dirties memory, and how much dirty state remains
 /// after the proactive (periodic-flush) techniques have been running.
@@ -53,6 +53,19 @@ impl DirtyProfile {
             proactive_migration_residual,
             proactive_hibernate_residual,
         }
+    }
+}
+
+impl StableHash for DirtyProfile {
+    fn stable_hash(&self, hasher: &mut StableHasher) {
+        let Self {
+            dirty_rate,
+            proactive_migration_residual,
+            proactive_hibernate_residual,
+        } = self;
+        dirty_rate.stable_hash(hasher);
+        proactive_migration_residual.stable_hash(hasher);
+        proactive_hibernate_residual.stable_hash(hasher);
     }
 }
 

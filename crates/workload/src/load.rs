@@ -6,7 +6,7 @@
 //! §7 capacity-planning discussion calls for ("Capacity planning could
 //! depend on historic data about multiple application requirements").
 
-use dcb_units::{Fraction, Seconds};
+use dcb_units::{Fraction, Seconds, StableHash, StableHasher};
 
 /// CPU-utilization as a function of time of day.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -73,6 +73,27 @@ impl LoadProfile {
         match *self {
             Self::Constant(u) => u,
             Self::Diurnal { trough, .. } => trough,
+        }
+    }
+}
+
+impl StableHash for LoadProfile {
+    fn stable_hash(&self, hasher: &mut StableHasher) {
+        match self {
+            Self::Constant(utilization) => {
+                0u8.stable_hash(hasher);
+                utilization.stable_hash(hasher);
+            }
+            Self::Diurnal {
+                trough,
+                peak,
+                peak_hour,
+            } => {
+                1u8.stable_hash(hasher);
+                trough.stable_hash(hasher);
+                peak.stable_hash(hasher);
+                peak_hour.stable_hash(hasher);
+            }
         }
     }
 }

@@ -8,7 +8,7 @@
 //! paper reports a *range* (SpecCPU's recompute depends on when in the run
 //! the outage hits), the model yields a [`DowntimeRange`].
 
-use dcb_units::{Gigabytes, MegabytesPerSecond, Seconds};
+use dcb_units::{Gigabytes, MegabytesPerSecond, Seconds, StableHash, StableHasher};
 
 /// A downtime estimate with its best/worst-case spread.
 ///
@@ -91,6 +91,32 @@ pub struct RecoveryModel {
     /// Re-computation of lost volatile work, as a best/worst range
     /// (SpecCPU may lose anywhere from nothing to its whole run so far).
     pub recompute: DowntimeRange,
+}
+
+impl StableHash for DowntimeRange {
+    fn stable_hash(&self, hasher: &mut StableHasher) {
+        let Self { min, expected, max } = self;
+        min.stable_hash(hasher);
+        expected.stable_hash(hasher);
+        max.stable_hash(hasher);
+    }
+}
+
+impl StableHash for RecoveryModel {
+    fn stable_hash(&self, hasher: &mut StableHasher) {
+        let Self {
+            app_start,
+            reload,
+            reload_bandwidth,
+            warmup,
+            recompute,
+        } = self;
+        app_start.stable_hash(hasher);
+        reload.stable_hash(hasher);
+        reload_bandwidth.stable_hash(hasher);
+        warmup.stable_hash(hasher);
+        recompute.stable_hash(hasher);
+    }
 }
 
 impl RecoveryModel {

@@ -2,7 +2,7 @@
 
 use crate::{DirtyProfile, DowntimeRange, LoadProfile, RecoveryModel};
 use core::fmt;
-use dcb_units::{Fraction, Gigabytes, MegabytesPerSecond, Seconds};
+use dcb_units::{Fraction, Gigabytes, MegabytesPerSecond, Seconds, StableHash, StableHasher};
 
 /// Identifies one of the paper's benchmark workloads (Table 7), or a custom
 /// parameterization.
@@ -18,6 +18,19 @@ pub enum WorkloadKind {
     SpecCpu,
     /// A user-defined workload.
     Custom,
+}
+
+impl StableHash for WorkloadKind {
+    fn stable_hash(&self, hasher: &mut StableHasher) {
+        let tag: u8 = match self {
+            Self::Specjbb => 0,
+            Self::WebSearch => 1,
+            Self::Memcached => 2,
+            Self::SpecCpu => 3,
+            Self::Custom => 4,
+        };
+        tag.stable_hash(hasher);
+    }
 }
 
 impl fmt::Display for WorkloadKind {
@@ -491,6 +504,33 @@ impl Workload {
     }
 }
 
+impl StableHash for Workload {
+    fn stable_hash(&self, hasher: &mut StableHasher) {
+        let Self {
+            kind,
+            memory_footprint,
+            hibernate_image,
+            hibernate_io_efficiency,
+            stall_fraction,
+            utilization,
+            dirty,
+            recovery,
+            remote_serve_fraction,
+            load_profile,
+        } = self;
+        kind.stable_hash(hasher);
+        memory_footprint.stable_hash(hasher);
+        hibernate_image.stable_hash(hasher);
+        hibernate_io_efficiency.stable_hash(hasher);
+        stall_fraction.stable_hash(hasher);
+        utilization.stable_hash(hasher);
+        dirty.stable_hash(hasher);
+        recovery.stable_hash(hasher);
+        remote_serve_fraction.stable_hash(hasher);
+        load_profile.stable_hash(hasher);
+    }
+}
+
 impl fmt::Display for Workload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} ({})", self.kind, self.memory_footprint)
@@ -501,6 +541,38 @@ impl fmt::Display for Workload {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn digest(workload: &Workload) -> u128 {
+        let mut hasher = StableHasher::new();
+        workload.stable_hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// Fields no public builder sets alone are nudged directly here.
+    #[test]
+    fn every_field_moves_the_stable_hash() {
+        let nudges: [fn(&mut Workload); 10] = [
+            |w| w.kind = WorkloadKind::Memcached,
+            |w| w.memory_footprint = Gigabytes::new(19.0),
+            |w| w.hibernate_image = Gigabytes::new(17.0),
+            |w| w.hibernate_io_efficiency = Fraction::new(0.9),
+            |w| w.stall_fraction = Fraction::new(0.16),
+            |w| w.utilization = Fraction::new(0.91),
+            |w| w.dirty.dirty_rate = MegabytesPerSecond::new(71.0),
+            |w| w.recovery.warmup = Seconds::new(41.0),
+            |w| w.remote_serve_fraction = Fraction::new(0.06),
+            |w| w.load_profile = Some(LoadProfile::Constant(Fraction::new(0.9))),
+        ];
+        let base = Workload::specjbb();
+        let mut seen = vec![digest(&base)];
+        for (field, nudge) in nudges.iter().enumerate() {
+            let mut workload = base;
+            nudge(&mut workload);
+            let d = digest(&workload);
+            assert!(!seen.contains(&d), "field {field} does not move the hash");
+            seen.push(d);
+        }
+    }
 
     #[test]
     fn table7_memory_footprints() {
