@@ -77,46 +77,36 @@ pub fn fig6_csv(workload: &str) -> String {
     let mut out = String::from(
         "workload,technique,outage_minutes,normalized_cost,perf,downtime_expected_minutes,sized_backup,feasible\n",
     );
-    for technique in Technique::catalog() {
-        let targets = if technique.name() == "Crash" {
-            SizingTargets {
-                require_state_preserved: false,
-                min_perf: None,
-                max_downtime: None,
+    let targets = SizingTargets::execute_to_plan();
+    for (technique, duration, point) in technique_tradeoffs(
+        &cluster,
+        &Technique::catalog(),
+        &paper_durations(),
+        &targets,
+    ) {
+        match point {
+            Some(p) => {
+                let o = &p.performability.outcome;
+                let _ = writeln!(
+                    out,
+                    "{},{},{:.2},{:.4},{:.4},{:.3},{},true",
+                    workload,
+                    technique.name(),
+                    duration.to_minutes(),
+                    p.performability.cost,
+                    o.perf_during_outage.value(),
+                    o.downtime.expected.to_minutes(),
+                    p.config.label(),
+                );
             }
-        } else {
-            SizingTargets::execute_to_plan()
-        };
-        for (technique, duration, point) in technique_tradeoffs(
-            &cluster,
-            std::slice::from_ref(&technique),
-            &paper_durations(),
-            &targets,
-        ) {
-            match point {
-                Some(p) => {
-                    let o = &p.performability.outcome;
-                    let _ = writeln!(
-                        out,
-                        "{},{},{:.2},{:.4},{:.4},{:.3},{},true",
-                        workload,
-                        technique.name(),
-                        duration.to_minutes(),
-                        p.performability.cost,
-                        o.perf_during_outage.value(),
-                        o.downtime.expected.to_minutes(),
-                        p.config.label(),
-                    );
-                }
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "{},{},{:.2},,,,,false",
-                        workload,
-                        technique.name(),
-                        duration.to_minutes(),
-                    );
-                }
+            None => {
+                let _ = writeln!(
+                    out,
+                    "{},{},{:.2},,,,,false",
+                    workload,
+                    technique.name(),
+                    duration.to_minutes(),
+                );
             }
         }
     }

@@ -173,55 +173,39 @@ fn technique_figure(workload: Workload, title: &str, durations: &[Seconds]) -> S
         "  {:<20} {:>8} | {:>5} {:>7} {:>12}  sized backup",
         "technique", "outage", "cost", "perf", "downtime"
     );
-    // The crash baseline keeps state by definition of the comparison only
-    // when nothing is required of it.
-    for technique in &catalog {
-        let targets = if technique.name() == "Crash" {
-            SizingTargets {
-                require_state_preserved: false,
-                min_perf: None,
-                max_downtime: None,
+    let targets = SizingTargets::execute_to_plan();
+    for (technique, duration, point) in technique_tradeoffs(&cluster, &catalog, durations, &targets)
+    {
+        match point {
+            Some(p) => {
+                let o = &p.performability.outcome;
+                let downtime = if o.downtime.is_exact() {
+                    format!("{:>8.1} m", o.downtime.expected.to_minutes())
+                } else {
+                    format!(
+                        "{:.0}–{:.0} m",
+                        o.downtime.min.to_minutes(),
+                        o.downtime.max.to_minutes()
+                    )
+                };
+                let _ = writeln!(
+                    out,
+                    "  {:<20} {:>6.1} m | {:>5.2} {:>6.0}% {:>12}  {}",
+                    technique.name(),
+                    duration.to_minutes(),
+                    p.performability.cost,
+                    o.perf_during_outage.to_percent(),
+                    downtime,
+                    p.config.label()
+                );
             }
-        } else {
-            SizingTargets::execute_to_plan()
-        };
-        for (technique, duration, point) in technique_tradeoffs(
-            &cluster,
-            std::slice::from_ref(technique),
-            durations,
-            &targets,
-        ) {
-            match point {
-                Some(p) => {
-                    let o = &p.performability.outcome;
-                    let downtime = if o.downtime.is_exact() {
-                        format!("{:>8.1} m", o.downtime.expected.to_minutes())
-                    } else {
-                        format!(
-                            "{:.0}–{:.0} m",
-                            o.downtime.min.to_minutes(),
-                            o.downtime.max.to_minutes()
-                        )
-                    };
-                    let _ = writeln!(
-                        out,
-                        "  {:<20} {:>6.1} m | {:>5.2} {:>6.0}% {:>12}  {}",
-                        technique.name(),
-                        duration.to_minutes(),
-                        p.performability.cost,
-                        o.perf_during_outage.to_percent(),
-                        downtime,
-                        p.config.label()
-                    );
-                }
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "  {:<20} {:>6.1} m |   (infeasible at any candidate UPS size)",
-                        technique.name(),
-                        duration.to_minutes()
-                    );
-                }
+            None => {
+                let _ = writeln!(
+                    out,
+                    "  {:<20} {:>6.1} m |   (infeasible at any candidate UPS size)",
+                    technique.name(),
+                    duration.to_minutes()
+                );
             }
         }
     }
