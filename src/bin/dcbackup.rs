@@ -62,6 +62,35 @@ fn workload_arg(args: &[String]) -> Result<Workload, String> {
     }
 }
 
+/// Parses an outage length in minutes: a finite, non-negative number that
+/// stays finite in seconds.
+fn minutes_arg(raw: &str) -> Result<f64, String> {
+    let minutes: f64 = raw.parse().map_err(|_| "minutes must be a number")?;
+    if minutes >= 0.0 && Seconds::from_minutes(minutes).is_finite() {
+        Ok(minutes)
+    } else {
+        Err(format!(
+            "minutes must be finite and non-negative, got '{raw}'"
+        ))
+    }
+}
+
+/// The `--peak-mw` datacenter peak (10 MW by default): finite and positive,
+/// also in watts.
+fn peak_arg(args: &[String]) -> Result<Kilowatts, String> {
+    let Some(raw) = flag_value(args, "--peak-mw") else {
+        return Ok(Kilowatts::from_megawatts(10.0));
+    };
+    raw.parse::<f64>()
+        .ok()
+        .filter(|&value| value > 0.0)
+        .map(Kilowatts::from_megawatts)
+        .filter(|peak| peak.to_watts().value().is_finite())
+        .ok_or(format!(
+            "--peak-mw must be a finite, positive number, got '{raw}'"
+        ))
+}
+
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("help");
@@ -88,12 +117,7 @@ fn run() -> Result<(), String> {
                 .get(1)
                 .ok_or("usage: dcbackup cost <config> [--peak-mw <MW>]")?;
             let config = find_config(name).ok_or(format!("unknown configuration '{name}'"))?;
-            let peak = Kilowatts::from_megawatts(
-                flag_value(&args, "--peak-mw")
-                    .map(|v| v.parse().map_err(|_| format!("bad --peak-mw '{v}'")))
-                    .transpose()?
-                    .unwrap_or(10.0),
-            );
+            let peak = peak_arg(&args)?;
             let model = CostModel::paper();
             let breakdown = model.annual_cost(&config, peak.to_watts());
             println!("{config}");
@@ -122,11 +146,7 @@ fn run() -> Result<(), String> {
                 "usage: dcbackup simulate <config> <technique> <minutes> [--workload <name>]";
             let config = find_config(args.get(1).ok_or(usage)?).ok_or("unknown configuration")?;
             let technique = find_technique(args.get(2).ok_or(usage)?).ok_or("unknown technique")?;
-            let minutes: f64 = args
-                .get(3)
-                .ok_or(usage)?
-                .parse()
-                .map_err(|_| "minutes must be a number")?;
+            let minutes = minutes_arg(args.get(3).ok_or(usage)?)?;
             let cluster = Cluster::rack(workload_arg(&args)?);
             let p = evaluate(
                 &cluster,
@@ -162,11 +182,7 @@ fn run() -> Result<(), String> {
         "size" => {
             let usage = "usage: dcbackup size <technique> <minutes> [--workload <name>]";
             let technique = find_technique(args.get(1).ok_or(usage)?).ok_or("unknown technique")?;
-            let minutes: f64 = args
-                .get(2)
-                .ok_or(usage)?
-                .parse()
-                .map_err(|_| "minutes must be a number")?;
+            let minutes = minutes_arg(args.get(2).ok_or(usage)?)?;
             let cluster = Cluster::rack(workload_arg(&args)?);
             match min_cost_ups(
                 &cluster,
@@ -203,6 +219,9 @@ fn run() -> Result<(), String> {
                 .map(|v| v.parse().map_err(|_| format!("bad --years '{v}'")))
                 .transpose()?
                 .unwrap_or(50);
+            if years == 0 {
+                return Err("--years must be at least 1".into());
+            }
             let cluster = Cluster::rack(workload_arg(&args)?);
             let r = analyze(&cluster, &config, &technique, years, 2014);
             println!(
