@@ -1,14 +1,34 @@
-//! A minimal JSON reader used by [`crate::chrome::validate`] to check
-//! exported traces without any external dependency. Parses the full JSON
-//! grammar the exporter emits (objects, arrays, strings, numbers, bools,
-//! null); numbers are read as `f64`, which is exact for every integer the
-//! exporter writes (lanes stay below 2^53 by construction).
+//! The workspace's one JSON reader: [`crate::chrome::validate`] checks
+//! exported traces with it, the perf observatory reads
+//! `BENCH_history.jsonl` with it, and `dcb-audit` reads its baseline with
+//! it.
+//!
+//! It parses the full JSON grammar (objects, arrays, strings, numbers,
+//! bools, null) into a [`Value`] tree, and it is strict where a lenient
+//! reader would hide a botched writer:
+//!
+//! * a duplicate object key is an error;
+//! * a number starts with `-` or a digit;
+//! * a raw control character inside a string is an error;
+//! * `\u` takes exactly four hex digits, and a surrogate escape is an
+//!   error (every writer in this workspace emits non-ASCII text raw);
+//! * arrays and objects nest at most [`MAX_DEPTH`] deep.
+//!
+//! Numbers are read as `f64`, which is exact for every integer the Chrome
+//! exporter writes (lanes stay below 2^53 by construction). Every error
+//! names the byte offset where it was found. Parsing takes time linear in
+//! the input, and no input makes it panic.
 
 use std::collections::BTreeMap;
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. Every
+/// document this workspace reads nests at most 4 deep; the bound keeps
+/// hostile input from exhausting the stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Value {
+pub enum Value {
     /// `null`.
     Null,
     /// `true` / `false`.
@@ -19,33 +39,41 @@ pub(crate) enum Value {
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object (key order is irrelevant to validation).
+    /// An object, keyed by name (key order is not kept).
     Obj(BTreeMap<String, Value>),
 }
 
 impl Value {
-    pub(crate) fn get(&self, key: &str) -> Option<&Value> {
+    /// The value under `key`, if this is an object that has it.
+    #[must_use]
+    pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Obj(map) => map.get(key),
             _ => None,
         }
     }
 
-    pub(crate) fn as_str(&self) -> Option<&str> {
+    /// The text, if this is a string.
+    #[must_use]
+    pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
         }
     }
 
-    pub(crate) fn as_num(&self) -> Option<f64> {
+    /// The number, if this is a number.
+    #[must_use]
+    pub fn as_num(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
             _ => None,
         }
     }
 
-    pub(crate) fn as_arr(&self) -> Option<&[Value]> {
+    /// The items, if this is an array.
+    #[must_use]
+    pub fn as_arr(&self) -> Option<&[Value]> {
         match self {
             Value::Arr(items) => Some(items),
             _ => None,
@@ -53,11 +81,16 @@ impl Value {
     }
 }
 
-/// Parses a complete JSON document (rejecting trailing content).
-pub(crate) fn parse(input: &str) -> Result<Value, String> {
+/// Parses a complete JSON document, rejecting trailing content.
+///
+/// # Errors
+///
+/// Returns a description of the first syntax error, naming its byte
+/// offset.
+pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -84,16 +117,22 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses the value at `pos`; `depth` counts the arrays and objects
+/// already open around it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Value::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
-        Some(_) => parse_number(bytes, pos),
+        Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
+        Some(_) => Err(format!("unexpected character at byte {}", *pos)),
         None => Err("unexpected end of input".to_owned()),
     }
 }
@@ -107,7 +146,7 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, word: &str, value: Value) -> Res
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -117,10 +156,14 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
     loop {
         skip_ws(bytes, pos);
+        let key_at = *pos;
         let key = parse_string(bytes, pos)?;
+        if map.contains_key(&key) {
+            return Err(format!("duplicate key at byte {key_at}"));
+        }
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -134,7 +177,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -143,7 +186,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -160,6 +203,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote, backslash or control byte in
+        // one step. All three are ASCII, so the run ends on a character
+        // boundary of the `&str` input.
+        let rest = &bytes[*pos..];
+        let run = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(rest.len());
+        let text = std::str::from_utf8(&rest[..run])
+            .map_err(|_| format!("invalid UTF-8 at byte {}", *pos))?;
+        out.push_str(text);
+        *pos += run;
         match bytes.get(*pos) {
             Some(b'"') => {
                 *pos += 1;
@@ -180,12 +235,12 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
                             .ok_or_else(|| format!("truncated \\u escape at byte {}", *pos))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| format!("bad \\u escape at byte {}", *pos))?;
-                        let code = u16::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape at byte {}", *pos))?;
-                        // Surrogate pairs never appear in exporter output
-                        // (it only escapes control characters); reject them.
+                        // `from_str_radix` alone would also accept a sign.
+                        let code = std::str::from_utf8(hex)
+                            .ok()
+                            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                            .and_then(|h| u16::from_str_radix(h, 16).ok())
+                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
                         let c = char::from_u32(u32::from(code))
                             .ok_or_else(|| format!("surrogate \\u escape at byte {}", *pos))?;
                         out.push(c);
@@ -195,20 +250,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 character (input is a &str, so
-                // boundaries are valid).
-                let rest = &bytes[*pos..];
-                let s = std::str::from_utf8(rest)
-                    .map_err(|_| format!("invalid UTF-8 at byte {}", *pos))?;
-                if let Some(c) = s.chars().next() {
-                    if (c as u32) < 0x20 {
-                        return Err(format!("raw control character at byte {}", *pos));
-                    }
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
+            Some(_) => return Err(format!("raw control character at byte {}", *pos)),
             None => return Err("unterminated string".to_owned()),
         }
     }
@@ -262,5 +304,28 @@ mod tests {
         for doc in ["", "{", "[1,]", "{\"a\":}", "tru", "\"open", "{}x"] {
             assert!(parse(doc).is_err(), "should reject: {doc}");
         }
+    }
+
+    #[test]
+    fn a_four_megabyte_string_parses_in_linear_time() {
+        let doc = format!("\"{}\\n\"", "é".repeat(2 << 20));
+        let start = std::time::Instant::now();
+        let value = parse(&doc).expect("parses");
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "took {elapsed:?}"
+        );
+        let text = value.as_str().expect("a string");
+        assert_eq!((text.len(), text.ends_with("é\n")), ((4 << 20) + 1, true));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(100_000)).expect_err("too deep");
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
     }
 }

@@ -5,6 +5,7 @@
 //! causal parent links, buffered in bounded per-thread rings and exported
 //! either as Chrome trace-event JSON ([`chrome`], Perfetto-loadable) or as
 //! a human timeline ([`timeline`], the `repro explain` subcommand).
+//! [`json`] is the workspace's one JSON reader.
 //!
 //! Where `dcb-telemetry` counts work in aggregate, this crate records one
 //! scenario's *causal interleaving* — DG ramp milestones, the battery
@@ -76,7 +77,7 @@
 
 pub mod chrome;
 mod event;
-mod json;
+pub mod json;
 mod ring;
 pub mod timeline;
 
