@@ -103,7 +103,7 @@ pub fn all() -> Vec<LintSpec> {
         },
         LintSpec {
             name: "prof-in-result",
-            summary: "reading the work-attribution profiler (dcb_prof::snapshot/reset, the Profile type, the collapsed/svg/observatory exporters) inside model code lets profiling feed back into results; recording (frame/record/handoff/enter) is always fine",
+            summary: "reading the work-attribution profiler (dcb_prof::snapshot/reset, the Profile type, the collapsed/svg exporters) inside model code lets profiling feed back into results; recording (frame/record/handoff/enter) is always fine",
             roles: &[Role::Library, Role::Binary],
             exempt_crates: &["prof", "bench", "audit"],
             skip_in_test: true,
@@ -442,8 +442,8 @@ fn trace_in_result(tokens: &[Token]) -> Vec<(u32, String)> {
 }
 
 /// `prof-in-result`: reads of work-attribution state — the `Profile`
-/// tree type, `dcb_prof::snapshot`/`reset`, or the `collapsed`/`svg`/
-/// `observatory` exporter modules — in model code. Recording into the
+/// tree type, `dcb_prof::snapshot`/`reset`, or the `collapsed`/`svg`
+/// exporter modules — in model code. Recording into the
 /// attribution arena (`frame`/`record`/`handoff`/`enter`/`enabled`) is
 /// always fine; *reading* the tree back is fenced to the report edges so
 /// profiling can never steer a result.
@@ -461,12 +461,9 @@ fn prof_in_result(tokens: &[Token]) -> Vec<(u32, String)> {
         if name == "dcb_prof"
             && tokens.get(i + 1).is_some_and(|n| n.kind.is_op("::"))
             && tokens.get(i + 2).is_some_and(|n| {
-                n.kind.ident().is_some_and(|f| {
-                    matches!(
-                        f,
-                        "snapshot" | "reset" | "collapsed" | "svg" | "observatory"
-                    )
-                })
+                n.kind
+                    .ident()
+                    .is_some_and(|f| matches!(f, "snapshot" | "reset" | "collapsed" | "svg"))
             })
         {
             let read = tokens[i + 2].kind.ident().unwrap_or_default();

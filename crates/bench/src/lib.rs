@@ -16,6 +16,7 @@ pub mod ablations;
 pub mod csv;
 pub mod explain;
 pub mod figures;
+pub mod observatory;
 pub mod perf;
 pub mod profile;
 pub mod tables;

@@ -1,7 +1,7 @@
 //! The `repro perf` subcommand: the perf observatory over
 //! `BENCH_history.jsonl`.
 //!
-//! Thin CLI shell around [`dcb_prof::observatory`]: it locates the
+//! Thin CLI shell around [`crate::observatory`]: it locates the
 //! history file (repo root by default, `--file` to override), parses and
 //! validates it, and dispatches one of four actions:
 //!
@@ -13,7 +13,7 @@
 //!   append;
 //! * `floors` — the machine-readable `key floor` pairs.
 
-use dcb_prof::observatory::{self, HistoryEntry, DEFAULT_WINDOW};
+use crate::observatory::{self, HistoryEntry, DEFAULT_WINDOW};
 use std::path::PathBuf;
 
 /// Runs the subcommand: `repro perf [report|check|validate|floors]

@@ -114,6 +114,20 @@ fn validate_accepts_fixture_and_rejects_schema_drift() {
 }
 
 #[test]
+fn deeply_nested_history_is_a_schema_error_not_a_crash() {
+    let path = std::env::temp_dir().join("dcb_history_deep.jsonl");
+    std::fs::write(&path, format!("{}\n", "[".repeat(200_000))).expect("write temp fixture");
+    let out = repro_perf(&["validate", "--file", path.to_str().expect("utf-8 path")]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(2), "validate must exit 2");
+    let err = String::from_utf8(out.stderr).expect("utf-8");
+    assert!(
+        err.contains("line 1:") && !err.contains("overflow"),
+        "{err}"
+    );
+}
+
+#[test]
 fn the_committed_repo_history_passes_the_ci_gate() {
     // No --file: the default path is the repo's own BENCH_history.jsonl.
     // This is the same invocation ci.sh gates on.

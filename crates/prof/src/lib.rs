@@ -1,9 +1,9 @@
 //! # dcb-prof
 //!
-//! A **deterministic work-attribution profiler** and a **perf-regression
-//! observatory** for the underprovisioning framework.
+//! A **deterministic work-attribution profiler** for the
+//! underprovisioning framework.
 //!
-//! ## Half one: work attribution
+//! ## Work attribution
 //!
 //! Wall-clock profilers answer "where did the nanoseconds go?" — an
 //! inherently scheduling-dependent question. This profiler answers
@@ -29,15 +29,6 @@
 //! every work item [`enter`]s it on whichever worker runs it, so the
 //! attribution path never depends on scheduling.
 //!
-//! ## Half two: the perf observatory
-//!
-//! [`observatory`] parses and validates `BENCH_history.jsonl` (tagging
-//! schema-drifted legacy lines), computes per-workload median + MAD noise
-//! bands over a trailing window, renders text sparkline trends, detects
-//! regressions, and emits **ratcheted per-workload speedup floors** that
-//! `ci.sh` asserts through `repro perf check` in place of a hand-coded
-//! global floor.
-//!
 //! ## Cost when disabled
 //!
 //! Collection is off by default: every hook pays one relaxed atomic load
@@ -50,8 +41,8 @@
 //!
 //! Model code may *record* ([`frame`], [`record`], [`handoff`],
 //! [`enter`]) but never read a profile back: [`snapshot`], [`reset`], and
-//! the [`collapsed`]/[`svg`]/[`observatory`] exporters are fenced to
-//! report edges by the `prof-in-result` audit lint (DESIGN.md §8).
+//! the [`collapsed`]/[`svg`] exporters are fenced to report edges by the
+//! `prof-in-result` audit lint (DESIGN.md §8).
 //!
 //! ## Example
 //!
@@ -74,7 +65,6 @@
 #![warn(missing_docs)]
 
 pub mod collapsed;
-pub mod observatory;
 pub mod svg;
 mod tree;
 
