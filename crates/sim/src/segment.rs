@@ -8,9 +8,8 @@
 //! [`SimOutcome`](crate::SimOutcome) is an exact integral over it, and
 //! [`Trajectory::validate`] re-checks those integrals as model contracts.
 
-use crate::{FinalState, SimOutcome};
-use dcb_units::{contract, Fraction, Seconds, WattHours, Watts};
-use dcb_workload::DowntimeRange;
+use crate::SimOutcome;
+use dcb_units::{contract, Seconds, Watts};
 
 /// Why a segment ended — the event taxonomy of the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -68,7 +67,8 @@ impl Segment {
 }
 
 impl SegmentEnd {
-    /// Stable wire name.
+    /// Stable snake_case name: the end cause of trace segment events and
+    /// the name of the kernel's per-cause profiler frames.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -81,20 +81,6 @@ impl SegmentEnd {
             Self::HybridFallback => "hybrid_fallback",
             Self::RecoveryPower => "recovery_power",
         }
-    }
-
-    fn parse(s: &str) -> Result<Self, String> {
-        Ok(match s {
-            "outage_end" => Self::OutageEnd,
-            "timer_expired" => Self::TimerExpired,
-            "migration_pause" => Self::MigrationPause,
-            "battery_depleted" => Self::BatteryDepleted,
-            "supply_overload" => Self::SupplyOverload,
-            "dg_crossover" => Self::DgCrossover,
-            "hybrid_fallback" => Self::HybridFallback,
-            "recovery_power" => Self::RecoveryPower,
-            other => return Err(format!("unknown segment end {other:?}")),
-        })
     }
 }
 
@@ -182,313 +168,14 @@ impl Trajectory {
             .map(|s| s.duration().value())
             .sum()
     }
-
-    /// Serializes to the trajectory wire format (JSON).
-    ///
-    /// The vendored `serde` is an inert stub (derives compile to nothing),
-    /// so the wire format is hand-rolled: floats use Rust's shortest
-    /// round-trippable rendering, which [`from_json`](Self::from_json)
-    /// recovers bit-exactly.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let o = &self.outcome;
-        let mut out = String::with_capacity(256 + 128 * self.segments.len());
-        let _ = write!(
-            out,
-            "{{\"outage_s\":{},\"feasible\":{},\"state_lost\":{},\"peak_power_w\":{},\
-             \"peak_power_fraction\":{},\"energy_wh\":{},\"perf_during_outage\":{},\
-             \"downtime_s\":{{\"min\":{},\"expected\":{},\"max\":{}}},\
-             \"downtime_during_outage_s\":{},\"final_state\":\"{:?}\",\"segments\":[",
-            o.outage.value(),
-            o.feasible,
-            o.state_lost,
-            o.peak_power.value(),
-            o.peak_power_fraction.value(),
-            o.energy.value(),
-            o.perf_during_outage.value(),
-            o.downtime.min.value(),
-            o.downtime.expected.value(),
-            o.downtime.max.value(),
-            o.downtime_during_outage.value(),
-            o.final_state,
-        );
-        for (i, s) in self.segments.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"start_s\":{},\"end_s\":{},\"load_w\":{},\"throughput\":{},\
-                 \"in_downtime\":{},\"ended_by\":\"{}\"}}",
-                if i == 0 { "" } else { "," },
-                s.start.value(),
-                s.end.value(),
-                s.load.value(),
-                s.throughput,
-                s.in_downtime,
-                s.ended_by.as_str(),
-            );
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Parses the wire format emitted by [`to_json`](Self::to_json).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first syntax error, unknown key or
-    /// enum name, or missing field.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = json::parse(text)?;
-        let top = value.as_object()?;
-        let range = top.get("downtime_s")?.as_object()?;
-        let final_state = match top.get("final_state")?.as_str()? {
-            "Serving" => FinalState::Serving,
-            "Sleeping" => FinalState::Sleeping,
-            "EnteringSleep" => FinalState::EnteringSleep,
-            "Hibernated" => FinalState::Hibernated,
-            "Saving" => FinalState::Saving,
-            "Migrating" => FinalState::Migrating,
-            "Crashed" => FinalState::Crashed,
-            "Recovering" => FinalState::Recovering,
-            other => return Err(format!("unknown final state {other:?}")),
-        };
-        let outcome = SimOutcome {
-            outage: Seconds::new(top.get("outage_s")?.as_f64()?),
-            feasible: top.get("feasible")?.as_bool()?,
-            state_lost: top.get("state_lost")?.as_bool()?,
-            peak_power: Watts::new(top.get("peak_power_w")?.as_f64()?),
-            peak_power_fraction: Fraction::new(top.get("peak_power_fraction")?.as_f64()?),
-            energy: WattHours::new(top.get("energy_wh")?.as_f64()?),
-            perf_during_outage: Fraction::new(top.get("perf_during_outage")?.as_f64()?),
-            downtime: DowntimeRange {
-                min: Seconds::new(range.get("min")?.as_f64()?),
-                expected: Seconds::new(range.get("expected")?.as_f64()?),
-                max: Seconds::new(range.get("max")?.as_f64()?),
-            },
-            downtime_during_outage: Seconds::new(top.get("downtime_during_outage_s")?.as_f64()?),
-            final_state,
-        };
-        let mut segments = Vec::new();
-        for item in top.get("segments")?.as_array()? {
-            let seg = item.as_object()?;
-            segments.push(Segment {
-                start: Seconds::new(seg.get("start_s")?.as_f64()?),
-                end: Seconds::new(seg.get("end_s")?.as_f64()?),
-                load: Watts::new(seg.get("load_w")?.as_f64()?),
-                throughput: seg.get("throughput")?.as_f64()?,
-                in_downtime: seg.get("in_downtime")?.as_bool()?,
-                ended_by: SegmentEnd::parse(seg.get("ended_by")?.as_str()?)?,
-            });
-        }
-        Ok(Self { segments, outcome })
-    }
-}
-
-/// A just-big-enough JSON reader for the trajectory wire format: objects,
-/// arrays, escapeless strings, numbers, and booleans.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        Object(Vec<(String, Value)>),
-        Array(Vec<Value>),
-        String(String),
-        Number(f64),
-        Bool(bool),
-    }
-
-    impl Value {
-        pub fn as_object(&self) -> Result<Object<'_>, String> {
-            match self {
-                Self::Object(pairs) => Ok(Object(pairs)),
-                other => Err(format!("expected object, found {other:?}")),
-            }
-        }
-
-        pub fn as_array(&self) -> Result<&[Value], String> {
-            match self {
-                Self::Array(items) => Ok(items),
-                other => Err(format!("expected array, found {other:?}")),
-            }
-        }
-
-        pub fn as_str(&self) -> Result<&str, String> {
-            match self {
-                Self::String(s) => Ok(s),
-                other => Err(format!("expected string, found {other:?}")),
-            }
-        }
-
-        pub fn as_f64(&self) -> Result<f64, String> {
-            match self {
-                Self::Number(n) => Ok(*n),
-                other => Err(format!("expected number, found {other:?}")),
-            }
-        }
-
-        pub fn as_bool(&self) -> Result<bool, String> {
-            match self {
-                Self::Bool(b) => Ok(*b),
-                other => Err(format!("expected bool, found {other:?}")),
-            }
-        }
-    }
-
-    /// Key lookup over a borrowed object's pairs.
-    #[derive(Clone, Copy)]
-    pub struct Object<'a>(&'a [(String, Value)]);
-
-    impl<'a> Object<'a> {
-        pub fn get(&self, key: &str) -> Result<&'a Value, String> {
-            self.0
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing key {key:?}"))
-        }
-    }
-
-    /// Parses one JSON value, requiring it to span the whole input.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos == bytes.len() {
-            Ok(value)
-        } else {
-            Err(format!("trailing input at byte {pos}"))
-        }
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {pos}", char::from(b)))
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b'{') => parse_object(bytes, pos),
-            Some(b'[') => parse_array(bytes, pos),
-            Some(b'"') => Ok(Value::String(parse_string(bytes, pos)?)),
-            Some(b't') if bytes[*pos..].starts_with(b"true") => {
-                *pos += 4;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') if bytes[*pos..].starts_with(b"false") => {
-                *pos += 5;
-                Ok(Value::Bool(false))
-            }
-            Some(_) => parse_number(bytes, pos),
-            None => Err("unexpected end of input".to_owned()),
-        }
-    }
-
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(bytes, pos, b'{')?;
-        let mut pairs = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Object(pairs));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            let key = parse_string(bytes, pos)?;
-            expect(bytes, pos, b':')?;
-            pairs.push((key, parse_value(bytes, pos)?));
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-            }
-        }
-    }
-
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(bytes, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-            }
-        }
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(bytes, pos, b'"')?;
-        let start = *pos;
-        while let Some(&b) = bytes.get(*pos) {
-            if b == b'"' {
-                let s = std::str::from_utf8(&bytes[start..*pos])
-                    .map_err(|e| format!("invalid UTF-8 in string: {e}"))?;
-                *pos += 1;
-                return Ok(s.to_owned());
-            }
-            if b == b'\\' {
-                return Err(format!("escape sequences unsupported (byte {pos})"));
-            }
-            *pos += 1;
-        }
-        Err("unterminated string".to_owned())
-    }
-
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        // The extra letters admit Rust's `inf`/`NaN` renderings, which
-        // `f64::parse` understands even though strict JSON does not.
-        while let Some(&b) = bytes.get(*pos) {
-            if b.is_ascii_digit()
-                || matches!(
-                    b,
-                    b'-' | b'+' | b'.' | b'e' | b'E' | b'i' | b'n' | b'f' | b'a' | b'N'
-                )
-            {
-                *pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&bytes[start..*pos])
-            .map_err(|e| format!("invalid UTF-8 in number: {e}"))?;
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|e| format!("bad number {text:?}: {e}"))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcb_units::Watts;
+    use crate::FinalState;
+    use dcb_units::{Fraction, WattHours};
+    use dcb_workload::DowntimeRange;
 
     fn sample() -> Trajectory {
         let outage = Seconds::new(100.0);
@@ -548,55 +235,5 @@ mod tests {
         let mut t = sample();
         t.segments[0].throughput = 0.5;
         t.validate();
-    }
-
-    #[test]
-    fn json_round_trip_is_bit_exact() {
-        let t = sample();
-        let back = Trajectory::from_json(&t.to_json()).expect("parses");
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn json_round_trip_survives_awkward_floats() {
-        let mut t = sample();
-        // Shortest-representation floats with no finite decimal expansion.
-        t.segments[0].end = Seconds::new(62.5 + 1.0 / 3.0);
-        t.segments[1].start = t.segments[0].end;
-        t.outcome.downtime.max = Seconds::new(f64::INFINITY);
-        let back = Trajectory::from_json(&t.to_json()).expect("parses");
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn from_json_reports_missing_fields() {
-        let err = Trajectory::from_json("{\"outage_s\":1}").expect_err("incomplete");
-        assert!(err.contains("missing key"), "{err}");
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_input() {
-        assert!(Trajectory::from_json("").is_err());
-        assert!(Trajectory::from_json("[1, 2").is_err());
-        assert!(Trajectory::from_json("{\"a\":}").is_err());
-        let with_trailing = format!("{} tail", sample().to_json());
-        assert!(Trajectory::from_json(&with_trailing).is_err());
-    }
-
-    #[test]
-    fn segment_end_names_round_trip() {
-        for end in [
-            SegmentEnd::OutageEnd,
-            SegmentEnd::TimerExpired,
-            SegmentEnd::MigrationPause,
-            SegmentEnd::BatteryDepleted,
-            SegmentEnd::SupplyOverload,
-            SegmentEnd::DgCrossover,
-            SegmentEnd::HybridFallback,
-            SegmentEnd::RecoveryPower,
-        ] {
-            assert_eq!(SegmentEnd::parse(end.as_str()), Ok(end));
-        }
-        assert!(SegmentEnd::parse("melted").is_err());
     }
 }

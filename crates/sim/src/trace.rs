@@ -302,27 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_trajectories_round_trip_through_json() {
-        let trace = OutageTrace::new(vec![
-            Outage {
-                start: Seconds::from_hours(2.0),
-                duration: Seconds::from_minutes(1.8),
-            },
-            Outage {
-                start: Seconds::from_hours(3.0),
-                duration: Seconds::from_minutes(10.0),
-            },
-        ]);
-        let (_, trajectories) =
-            sim(BackupConfig::no_dg()).run_trace_trajectories(&trace, Seconds::new(YEAR));
-        for t in &trajectories {
-            let wire = t.to_json();
-            let back = crate::Trajectory::from_json(&wire).expect("wire format parses");
-            assert_eq!(*t, back, "JSON round-trip must be bit-exact");
-        }
-    }
-
-    #[test]
     fn availability_accounts_downtime() {
         let trace = OutageTrace::new(vec![Outage {
             start: Seconds::from_hours(10.0),
