@@ -4,11 +4,11 @@
 //! finding has disappeared are reported as stale so the file ratchets
 //! downward over time.
 //!
-//! The file is the `render` output of a previous run: one finding key per
-//! line, so the loader is a line-oriented string extractor rather than a
-//! JSON parser (the audit crate deliberately has no serde).
+//! The file is the `render` output of a previous run; [`parse`] reads it
+//! with the workspace's one JSON reader, [`dcb_trace::json`].
 
 use crate::report::GraphFinding;
+use dcb_trace::json::{self, Value};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -35,66 +35,43 @@ pub struct Diff<'a> {
 ///
 /// # Errors
 ///
-/// Returns a message if the file exists but cannot be read, or contains a
-/// `"key"` line that cannot be unescaped.
+/// Returns a message if the file exists but cannot be read or parsed.
 pub fn load(path: &Path) -> Result<Baseline, String> {
     if !path.exists() {
         return Ok(Baseline::default());
     }
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    parse(&text)
+    parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Parses baseline text (the format written by [`render`]).
+/// Parses baseline text (the format written by [`render`]): the `key`
+/// of every object in the `entries` array.
 ///
 /// # Errors
 ///
-/// Returns a message for a malformed `"key"` line.
+/// Returns a message if the text is not JSON, or if `entries` is missing,
+/// not an array, or holds an entry without a string `key`.
 pub fn parse(text: &str) -> Result<Baseline, String> {
-    let mut keys = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let Some(at) = line.find("\"key\":") else {
-            continue;
-        };
-        let rest = line[at + "\"key\":".len()..].trim_start();
-        let key = json_unstring(rest)
-            .ok_or_else(|| format!("baseline line {}: malformed key string", i + 1))?;
-        keys.push(key);
-    }
+    let doc = json::parse(text)?;
+    let entries = doc
+        .get("entries")
+        .and_then(Value::as_arr)
+        .ok_or("missing `entries` array")?;
+    let mut keys = entries
+        .iter()
+        .enumerate()
+        .map(|(i, entry)| {
+            entry
+                .get("key")
+                .and_then(Value::as_str)
+                .map(str::to_owned)
+                .ok_or_else(|| format!("entry {i}: missing string `key`"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     keys.sort();
     keys.dedup();
     Ok(Baseline { keys })
-}
-
-/// Reads a leading JSON string literal, unescaping it.
-fn json_unstring(s: &str) -> Option<String> {
-    let bytes = s.as_bytes();
-    if bytes.first() != Some(&b'"') {
-        return None;
-    }
-    let mut out = String::new();
-    let mut chars = s[1..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
 }
 
 /// Renders findings as a baseline document (ready to commit).
@@ -179,6 +156,20 @@ mod tests {
         assert_eq!(d.fresh.len(), 1);
         assert_eq!(d.fresh[0].key, "new");
         assert_eq!(d.stale, vec!["gone".to_owned()]);
+    }
+
+    #[test]
+    fn malformed_baseline_is_an_error() {
+        for text in [
+            "",
+            "{\"entries\": [{\"key\": \"a\"}",
+            "{\"entries\": [{\"key\": \"a\", \"key\": \"b\"}]}",
+            "{\"entries\": {}}",
+            "{\"entries\": [{\"key\": 7}]}",
+            "{\"schema\": \"dcb-audit-baseline/1\"}",
+        ] {
+            assert!(parse(text).is_err(), "accepted {text:?}");
+        }
     }
 
     #[test]
