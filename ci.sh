@@ -47,10 +47,11 @@ cargo test -q --release -p dcb-core --test sizing_golden
 cargo test -q --release -p dcb-core --lib -- sizing::tests::pruned_search sizing::tests::ups_cost_never_decreases_with_runtime
 cargo test -q --release -p dcb-bench --test repro_golden
 
-echo "== digest grouping and hostile specs (typed fingerprints group as Debug text does; no spec panics)"
+echo "== digest grouping, hostile specs and hostile JSON (typed fingerprints group as Debug text does; no spec or JSON input panics)"
 cargo test -q --release -p dcb-fleet --test grouping
 cargo test -q --release -p dcb-topology --test grouping
 cargo test -q --release -p dcb-topology --test hostile_spec
+cargo test -q --release -p dcb-trace --test hostile_json
 
 echo "== engine bench smoke (event kernel vs stepped oracle)"
 DCB_ENGINE_BENCH_SMOKE=1 cargo bench -q -p dcb-bench --bench engine
