@@ -41,11 +41,12 @@ comp_end=$(date +%s)
 comp_elapsed=$((comp_end - comp_start))
 test "$comp_elapsed" -le 120 || { echo "componentized differential took ${comp_elapsed}s (> 120s budget)"; exit 1; }
 
-echo "== golden digests (kernel trajectories, sizing search and repro all output, bit for bit)"
+echo "== golden digests (kernel trajectories, sizing search, repro all output and the three observability outputs, bit for bit)"
 cargo test -q --release -p dcb-sim --test kernel_golden
 cargo test -q --release -p dcb-core --test sizing_golden
 cargo test -q --release -p dcb-core --lib -- sizing::tests::pruned_search sizing::tests::ups_cost_never_decreases_with_runtime
 cargo test -q --release -p dcb-bench --test repro_golden
+cargo test -q --release -p dcb-bench --test observability_golden
 
 echo "== digest grouping, hostile specs and hostile JSON (typed fingerprints group as Debug text does; no spec or JSON input panics)"
 cargo test -q --release -p dcb-fleet --test grouping
