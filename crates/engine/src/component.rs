@@ -2,23 +2,23 @@
 //!
 //! A component is one actor in a discrete-event world: it owns a slice of
 //! behavior (a battery pack, a technique state machine, a fixed-step
-//! oracle), talks to its peers through [ports](crate::port) and shared
-//! world state, and participates in the engine's fixed per-cycle phase
-//! sequence. Every hook except [`Component::fire`] has an empty default,
-//! so a component implements only the phases it cares about.
+//! oracle), talks to its peers through the shared world state, and
+//! participates in the engine's fixed per-cycle phase sequence. Every
+//! hook except [`Component::fire`] has an empty default, so a component
+//! implements only the phases it cares about.
 //!
 //! ## The cycle protocol
 //!
 //! Each engine cycle calls, on every component in registration order:
 //!
 //! 1. **`prologue`** — apply zero-duration state transitions valid at the
-//!    current instant (the delta-cycle of classic DES cores).
-//! 2. **`sync`** — drain in-ports and republish derived dataflow so every
-//!    later phase sees one consistent snapshot.
-//! 3. **`hard_event`** — post events whose times are known in closed form
+//!    current instant (the delta-cycle of classic DES cores), and refresh
+//!    any world state derived from them so every later phase sees one
+//!    consistent snapshot.
+//! 2. **`hard_event`** — post events whose times are known in closed form
 //!    (timer expiries). Together with clock ticks these fix the cycle's
 //!    *planning window*.
-//! 4. **`plan`** — post *located* events: predicate flips searched for
+//! 3. **`plan`** — post *located* events: predicate flips searched for
 //!    inside the window `(now, window_hi]` (see [`crate::locate`]). The
 //!    two-stage split matters for bit-reproducibility: a root search's
 //!    sample points depend on its bracket, so the window must be pinned
@@ -52,8 +52,8 @@ pub struct Fired {
 
 /// One actor in an engine world of type `W`.
 pub trait Component<W> {
-    /// Stable short name; used for the component's auto-assigned trace
-    /// lane and telemetry counters.
+    /// Stable short name; used for the component's telemetry counter
+    /// (`engine.fired.<name>`) and profiler frame.
     fn name(&self) -> &'static str;
 
     /// Called once before the first cycle (and before the horizon check,
@@ -64,13 +64,10 @@ pub trait Component<W> {
     /// Phase 1: zero-duration transitions at the current instant.
     fn prologue(&mut self, _world: &mut W, _ctx: &mut Ctx) {}
 
-    /// Phase 2: drain in-ports, republish derived dataflow.
-    fn sync(&mut self, _world: &mut W, _ctx: &mut Ctx) {}
-
-    /// Phase 3: post closed-form events via [`Ctx::post`].
+    /// Phase 2: post closed-form events via [`Ctx::post`].
     fn hard_event(&mut self, _world: &mut W, _ctx: &mut Ctx) {}
 
-    /// Phase 4: post located events inside `(now, window_hi]`.
+    /// Phase 3: post located events inside `(now, window_hi]`.
     fn plan(&mut self, _world: &mut W, _ctx: &mut Ctx) {}
 
     /// Pre-transition commit pass; runs for every component, in

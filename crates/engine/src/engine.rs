@@ -14,7 +14,7 @@
 use crate::calendar::{Calendar, Origin, Posted};
 use crate::clock::{Clock, ClockSpec};
 use crate::component::{Component, ComponentId, Fired};
-use crate::observe::{fired_counter, ObserveConfig};
+use crate::observe::fired_counter;
 use crate::time::EventTime;
 use dcb_units::{contract, Seconds};
 
@@ -104,11 +104,9 @@ impl Ctx<'_> {
 /// A component/clock discrete-event engine over world type `W`.
 pub struct Engine<W> {
     components: Vec<Box<dyn Component<W>>>,
-    names: Vec<&'static str>,
     clocks: Vec<ClockEntry>,
     horizon: EventTime,
     max_events: u32,
-    observe: ObserveConfig,
 }
 
 impl<W> Engine<W> {
@@ -117,11 +115,9 @@ impl<W> Engine<W> {
     pub fn new(horizon: Seconds) -> Self {
         Engine {
             components: Vec::new(),
-            names: Vec::new(),
             clocks: Vec::new(),
             horizon: EventTime::new(horizon),
             max_events: DEFAULT_MAX_EVENTS,
-            observe: ObserveConfig::default(),
         }
     }
 
@@ -129,7 +125,6 @@ impl<W> Engine<W> {
     /// and the dead-even tie-break order.
     pub fn add_component(&mut self, component: impl Component<W> + 'static) -> ComponentId {
         let id = self.components.len();
-        self.names.push(component.name());
         self.components.push(Box::new(component));
         id
     }
@@ -155,11 +150,6 @@ impl<W> Engine<W> {
         self.max_events = max_events;
     }
 
-    /// Overrides the observability configuration.
-    pub fn set_observe(&mut self, observe: ObserveConfig) {
-        self.observe = observe;
-    }
-
     /// Runs the world from virtual time zero to the horizon.
     ///
     /// `init` hooks run unconditionally (even for a zero-length horizon);
@@ -167,17 +157,21 @@ impl<W> Engine<W> {
     /// horizon, or the event budget trips.
     pub fn run(&mut self, world: &mut W) -> RunStats {
         let mut components = std::mem::take(&mut self.components);
-        let lanes = self.claim_component_lanes();
         let mut calendar = Calendar::new();
         let mut wakes: Vec<Option<Wake>> = Vec::new();
         let mut now = EventTime::ZERO;
         let mut events = 0u32;
-        let mut fired_per_component = vec![0u64; components.len()];
+        // Fires per component, tallied only for the telemetry and profiler
+        // records below: empty (and allocation-free) when both are off.
+        let mut fired_per_component = if dcb_telemetry::enabled() || dcb_prof::enabled() {
+            vec![0u64; components.len()]
+        } else {
+            Vec::new()
+        };
 
         macro_rules! phase {
             ($ctx:expr, $i:expr, $call:expr) => {{
                 $ctx.current = $i;
-                let _lane = lanes.map(|base| dcb_trace::lane_scope(base + $i as u64));
                 $call
             }};
         }
@@ -219,9 +213,6 @@ impl<W> Engine<W> {
                 };
                 for (i, c) in components.iter_mut().enumerate() {
                     phase!(ctx, i, c.prologue(world, &mut ctx));
-                }
-                for (i, c) in components.iter_mut().enumerate() {
-                    phase!(ctx, i, c.sync(world, &mut ctx));
                 }
             }
 
@@ -295,7 +286,9 @@ impl<W> Engine<W> {
                 token: winner.token,
                 time: winner.key.time.min(self.horizon).max(now),
             };
-            fired_per_component[fired.owner] += 1;
+            if let Some(tally) = fired_per_component.get_mut(fired.owner) {
+                *tally += 1;
+            }
 
             {
                 let mut ctx = Ctx {
@@ -321,14 +314,13 @@ impl<W> Engine<W> {
             now = fired.time;
         }
 
-        self.components = components;
         dcb_telemetry::counter!("engine.runs").incr();
         dcb_telemetry::counter!("engine.cycles").add(u64::from(events));
         dcb_telemetry::histogram!("engine.cycles_per_run").observe(u64::from(events));
         if dcb_telemetry::enabled() {
-            for (name, fired) in self.names.iter().zip(&fired_per_component) {
+            for (c, fired) in components.iter().zip(&fired_per_component) {
                 if *fired > 0 {
-                    fired_counter(name).add(*fired);
+                    fired_counter(c.name()).add(*fired);
                 }
             }
         }
@@ -337,13 +329,14 @@ impl<W> Engine<W> {
             // equals `events`, so the profile reconciles with
             // `engine.cycles` exactly.
             let _engine = dcb_prof::frame("engine");
-            for (name, fired) in self.names.iter().zip(&fired_per_component) {
+            for (c, fired) in components.iter().zip(&fired_per_component) {
                 if *fired > 0 {
-                    let _component = dcb_prof::frame(name);
+                    let _component = dcb_prof::frame(c.name());
                     dcb_prof::record(dcb_prof::WorkKind::Cycles, *fired);
                 }
             }
         }
+        self.components = components;
         RunStats {
             cycles: events,
             fired_total: events,
@@ -357,22 +350,6 @@ impl<W> Engine<W> {
             Origin::Clock(idx) => self.clocks[idx].clock.advance(),
             Origin::Wake(slot) => wakes[slot] = None,
         }
-    }
-
-    /// Claims one trace lane per component (when configured and possible)
-    /// and announces each with a `component_lane` event.
-    fn claim_component_lanes(&self) -> Option<u64> {
-        if !self.observe.component_lanes {
-            return None;
-        }
-        let base = dcb_trace::claim_lanes(self.components.len())?;
-        for (i, name) in self.names.iter().enumerate() {
-            let _lane = dcb_trace::lane_scope(base + i as u64);
-            dcb_trace::instant(Some(0), None, || dcb_trace::EventKind::ComponentLane {
-                component: format!("engine/{name}"),
-            });
-        }
-        Some(base)
     }
 }
 

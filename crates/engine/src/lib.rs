@@ -6,15 +6,14 @@
 //! The paper's single-outage kernel, the hierarchical topology resolver,
 //! and the planned scenario axes (multi-outage sequences, demand
 //! response, fuel-cell surge chains — ROADMAP items 1 and 4) all need the
-//! same machinery: typed components exchanging messages over
-//! [ports](port), engine-managed [clocks](clock) mixing event-driven
-//! wakeups with timed ticks, and a deterministic event
-//! [calendar](calendar) whose `(time, class, seq)` tie-breaking makes
-//! results bit-identical across `DCB_THREADS` settings. This crate is
-//! that core, patterned on engine-managed-clock DES designs: components
-//! never own a time base, they register clocks and post events, and the
-//! [`Engine`] sequences everything through a fixed per-cycle phase
-//! protocol (see [`Component`]).
+//! same machinery: components sharing one world state, engine-managed
+//! [clocks](clock) mixing event-driven wakeups with timed ticks, and a
+//! deterministic event [calendar](calendar) whose `(time, class, seq)`
+//! tie-breaking makes results bit-identical across `DCB_THREADS`
+//! settings. This crate is that core, patterned on engine-managed-clock
+//! DES designs: components never own a time base, they register clocks
+//! and post events, and the [`Engine`] sequences everything through a
+//! fixed per-cycle phase protocol (see [`Component`]).
 //!
 //! Two properties carry the workspace's reproducibility guarantees:
 //!
@@ -30,10 +29,8 @@
 //!   every downstream floating-point value — bit-stable.
 //!
 //! Observability is built in rather than hand-placed: the engine counts
-//! cycles and per-component fires (`engine.fired.<component>`), and can
-//! claim a `dcb-trace` lane per component announced with a
-//! `component_lane` event named `engine/<component>` (see
-//! [`observe::ObserveConfig`] and OBSERVABILITY.md).
+//! runs, cycles and, while telemetry or the profiler records, fires per
+//! component (`engine.fired.<component>`; see OBSERVABILITY.md).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,14 +40,11 @@ pub mod clock;
 pub mod component;
 pub mod engine;
 pub mod locate;
-pub mod observe;
-pub mod port;
+mod observe;
 pub mod time;
 
 pub use calendar::{Calendar, EventKey, Posted};
 pub use clock::ClockSpec;
 pub use component::{Component, ComponentId, Fired};
 pub use engine::{Ctx, Engine, RunStats, DEFAULT_MAX_EVENTS};
-pub use observe::ObserveConfig;
-pub use port::{port, InPort, OutPort};
 pub use time::EventTime;

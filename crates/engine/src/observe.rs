@@ -1,30 +1,14 @@
 //! Built-in engine observability.
 //!
 //! Instrumentation is a property of *registration*, not of component
-//! code: the engine counts cycles and fired events, attributes fires to
-//! components through interned `engine.fired.<component>` counters, and —
-//! when per-component lanes are enabled — claims one `dcb-trace` lane per
-//! component and announces it with a `component_lane` event named
-//! `engine/<component>` (the auto-lane naming scheme; see
-//! OBSERVABILITY.md). Component hooks then record into their own lane
-//! without any hand-placed lane plumbing.
-//!
-//! Per-component lanes piggyback on [`dcb_trace::claim_lanes`], which
-//! refuses to claim inside an already-claimed lane: under a fleet batch
-//! (where each scenario already owns a lane) the engine silently inherits
-//! the scenario lane instead, so enabling lanes never perturbs the
-//! byte-compared batch traces.
+//! code: the engine counts runs and cycles, and attributes fires to
+//! components through interned `engine.fired.<component>` counters and
+//! `engine;<component>` profiler frames (see OBSERVABILITY.md). The
+//! per-component fire tally behind both is kept only while telemetry or
+//! the profiler is recording.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
-
-/// What the engine instruments beyond its always-on counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ObserveConfig {
-    /// Claim a dedicated trace lane per component (root-lane contexts
-    /// only; inert inside fleet batches). Off by default.
-    pub component_lanes: bool,
-}
 
 /// Interns a dynamically built metric name so it can back a registry
 /// counter (which requires `&'static str`). Each unique name leaks once.

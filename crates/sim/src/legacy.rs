@@ -17,7 +17,7 @@
 //! outlived its usefulness this module is the one to delete.
 
 use crate::engine::{Mode, OutageSim, RunState};
-use crate::kernel::{Pending, MAX_EVENTS};
+use crate::kernel::{trace_dg_milestones, Pending, MAX_EVENTS};
 use crate::segment::{Segment, SegmentEnd, Trajectory};
 use dcb_engine::locate::first_true;
 use dcb_power::BackupSystem;
@@ -59,24 +59,7 @@ impl OutageSim {
                 technique: self.technique().name().to_owned(),
                 outage_us: dcb_trace::micros(outage),
             });
-            if let Some(dg) = backup.dg() {
-                let mut milestones = vec![
-                    ("engine_start", dg.start_delay()),
-                    ("full_power", dg.transfer_complete()),
-                ];
-                if let Some(fuel) = dg.fuel_runtime() {
-                    milestones.push(("fuel_exhausted", fuel));
-                }
-                for (phase, at) in milestones {
-                    if at <= outage {
-                        dcb_trace::instant(Some(dcb_trace::micros(at)), root, || {
-                            dcb_trace::EventKind::DgRampPhase {
-                                phase: phase.to_owned(),
-                            }
-                        });
-                    }
-                }
-            }
+            trace_dg_milestones(backup, outage, root);
             root
         } else {
             None
