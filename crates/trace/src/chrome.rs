@@ -171,11 +171,6 @@ fn write_event(out: &mut String, lane: u64, ts: u64, event: &Event) {
             escape_json_into(out, name);
             let _ = write!(out, "\",\"servers\":{servers}");
         }
-        EventKind::ComponentLane { component } => {
-            out.push_str(",\"component\":\"");
-            escape_json_into(out, component);
-            out.push('"');
-        }
     }
     out.push_str("}}");
 }

@@ -121,14 +121,6 @@ pub enum EventKind {
         /// Servers shed (counting multiplicities).
         servers: u64,
     },
-    /// A discrete-event engine bound a lane to one of its components
-    /// (emitted as the lane's first event, so viewers can label the
-    /// track). The name follows the `engine/<component>` scheme
-    /// (OBSERVABILITY.md).
-    ComponentLane {
-        /// Auto-lane name, `engine/<component>`.
-        component: String,
-    },
 }
 
 impl EventKind {
@@ -148,7 +140,6 @@ impl EventKind {
             EventKind::Evaluate { .. } => "evaluate",
             EventKind::TopoResolve { .. } => "topo_resolve",
             EventKind::TopoShed { .. } => "topo_shed",
-            EventKind::ComponentLane { .. } => "component_lane",
         }
     }
 
@@ -166,7 +157,6 @@ impl EventKind {
             EventKind::CacheHit { .. } | EventKind::CacheMiss { .. } => "fleet",
             EventKind::Evaluate { .. } => "core",
             EventKind::TopoResolve { .. } | EventKind::TopoShed { .. } => "topology",
-            EventKind::ComponentLane { .. } => "engine",
         }
     }
 }
@@ -267,10 +257,6 @@ impl Event {
                 escape_into(&mut out, name);
                 let _ = write!(out, " servers={servers}");
             }
-            EventKind::ComponentLane { component } => {
-                out.push_str(" component=");
-                escape_into(&mut out, component);
-            }
         }
         out
     }
@@ -334,9 +320,6 @@ impl Event {
                 level: cursor.field("level")?.string()?,
                 name: cursor.field("name")?.string()?,
                 servers: cursor.field("servers")?.parse_u64()?,
-            },
-            "component_lane" => EventKind::ComponentLane {
-                component: cursor.field("component")?.string()?,
             },
             other => return Err(format!("unknown event kind `{other}`")),
         };
@@ -580,9 +563,6 @@ mod tests {
                 level: "rack".to_owned(),
                 name: "batch".to_owned(),
                 servers: 1600,
-            },
-            EventKind::ComponentLane {
-                component: "engine/battery-pack".to_owned(),
             },
         ];
         for (i, kind) in kinds.into_iter().enumerate() {

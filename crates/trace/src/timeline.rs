@@ -216,9 +216,6 @@ fn render_line(
         } => {
             let _ = writeln!(out, "shed {level} {name}  servers={servers}");
         }
-        EventKind::ComponentLane { component } => {
-            let _ = writeln!(out, "lane bound to {component}");
-        }
         EventKind::SegmentCommit { .. } => {}
     }
 }

@@ -70,13 +70,10 @@ fn kind_from(selector: u8, bits: u64, number: u64) -> EventKind {
             multiplicity: number,
             feasible: bits & 1 == 1,
         },
-        11 => EventKind::TopoShed {
+        _ => EventKind::TopoShed {
             level: string_from(bits),
             name: string_from(bits.rotate_left(23)),
             servers: number,
-        },
-        _ => EventKind::ComponentLane {
-            component: string_from(bits),
         },
     }
 }
@@ -91,7 +88,7 @@ proptest! {
         parent_bits in 0u64..=u64::MAX,
         at_bits in 0u64..=u64::MAX,
         dur in 0u64..=u64::MAX,
-        selector in 0u8..13,
+        selector in 0u8..12,
         bits in 0u64..=u64::MAX,
         number in 0u64..=u64::MAX,
     ) {
@@ -134,7 +131,7 @@ proptest! {
                 // Bounded timestamps keep f64 round-trips in the validator exact.
                 at_us: (at & 1 == 1).then_some((at >> 1) % (1 << 50)),
                 dur_us: next() % (1 << 50),
-                kind: kind_from((bits % 13) as u8, bits, number),
+                kind: kind_from((bits % 12) as u8, bits, number),
             });
         }
         let document = chrome::export(&events);
