@@ -709,6 +709,7 @@ impl ChargeProjection<'_> {
 mod tests {
     use super::*;
     use crate::BackupConfig;
+    use dcb_battery::Chemistry;
     use proptest::prelude::*;
 
     fn peak() -> Watts {
@@ -1010,6 +1011,54 @@ mod tests {
                 .solved()
                 .at(Fraction::new(charge), elapsed);
             prop_assert_eq!(solved.value().to_bits(), direct.value().to_bits());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+        /// The premise of the kernel's DG-less search skips (DESIGN.md §9):
+        /// without a DG, the power a system can deliver does not move with
+        /// τ, and every positive load's endurance is finite at any charge
+        /// and instant, so neither the crash-recovery nor the unthrottle
+        /// predicate can flip during an outage. `ups` 0 is the system with
+        /// neither a DG nor a UPS.
+        #[test]
+        fn without_a_dg_power_is_flat_and_endurance_finite(
+            ups in 0usize..5,
+            rating in 1.0f64..2.0e6,
+            minutes in 0.0f64..240.0,
+            drawn in 0.0f64..1.5,
+            draw_minutes in 0.0f64..240.0,
+            load_exp in 0.0f64..=1.0,
+            charge in 0.0f64..=1.0,
+            tau in 0.0f64..1.0e7,
+        ) {
+            let chemistry = Chemistry::ALL[ups % Chemistry::ALL.len()];
+            let ups = (ups > 0).then(|| {
+                Ups::with_chemistry(Watts::new(rating), Seconds::from_minutes(minutes), chemistry)
+            });
+            let mut sys = BackupSystem::new(None, ups);
+            let _ = sys.supply(
+                Watts::new(rating * drawn),
+                Seconds::ZERO,
+                Seconds::from_minutes(draw_minutes),
+            );
+            let power = sys.available_power(Seconds::ZERO).value().to_bits();
+            for at in [tau, 25.0, 120.0, 85.0, f64::MAX] {
+                let at = sys.available_power(Seconds::new(at)).value().to_bits();
+                prop_assert_eq!(at, power);
+            }
+            // Loads from 1 W to ten times the rating, log-uniformly.
+            let load = Watts::new((10.0 * rating).powf(load_exp));
+            let plan = sys.endurance_plan(load);
+            for at in [0.0, tau] {
+                let (charge, at) = (Fraction::new(charge), Seconds::new(at));
+                let direct = plan.at(charge, at);
+                let solved = plan.solved().at(charge, at);
+                prop_assert!(direct.is_finite(), "{direct} at load {load}");
+                prop_assert!(solved.is_finite(), "{solved} at load {load}");
+            }
         }
     }
 
