@@ -1,13 +1,16 @@
 //! Located events: the first-true root finder.
 //!
 //! Hard events have closed-form times; *located* events are
-//! predicate-shaped — "the first instant the DG can carry the unthrottled
-//! load", "the latest safe instant to fall back". This finder brackets
-//! the earliest flip of a predicate over `(lo, hi]` with a coarse forward
-//! scan, then bisects the bracket. Both predicates the kernel feeds it
-//! flip false→true once along the charge trajectory for every
-//! configuration the paper studies; the scan guards against pathological
-//! shapes by only trusting the earliest bracketed flip.
+//! predicate-shaped. The kernel feeds this finder three predicates: "the
+//! first instant the DG can carry the unthrottled load", "the latest safe
+//! instant to fall back" and "the first instant a crashed cluster has
+//! enough power to reboot". It brackets the earliest flip of a predicate
+//! over `(lo, hi]` with a coarse forward scan, then bisects the bracket.
+//! A predicate need not stay true once it flips: the recovery predicate
+//! falls again when a fuel-limited DG runs dry. The scan only ever trusts
+//! the earliest bracketed flip, so the root is the first false→true
+//! transition the grid sees; a flip and fall between two samples goes
+//! unseen.
 //!
 //! Determinism note: the sample grid is a pure function of `(lo, hi)`, so
 //! callers must pin `hi` to the cycle's hard-event window *before*
