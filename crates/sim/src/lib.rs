@@ -55,6 +55,9 @@ mod trace;
 
 pub use cluster::Cluster;
 pub use datacenter::{Datacenter, DatacenterOutcome, Section};
+/// The located-event root finder the kernel runs, for callers that locate
+/// their own events (the §7 controller in `dcb-core`).
+pub use dcb_engine::locate::first_true;
 pub use engine::OutageSim;
 pub use outcome::{FinalState, SimOutcome};
 pub use segment::{Segment, SegmentEnd, Trajectory};
