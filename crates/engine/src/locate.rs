@@ -18,7 +18,7 @@
 //! this reason) — a different `hi` means different sample points, a
 //! different bracket, and a root differing in the low-order bits.
 
-use dcb_units::Seconds;
+use dcb_units::{contract, Seconds};
 
 /// Samples used to bracket the earliest predicate flip in `(lo, hi]`.
 const SCAN_SAMPLES: u32 = 32;
@@ -28,13 +28,19 @@ const BISECT_TOL: f64 = 1e-7;
 /// The earliest `t` in `(lo, hi]` at which `pred` is true, to within
 /// [`BISECT_TOL`]; `None` if it never flips. The caller is expected to
 /// have handled `pred(lo)` (the instantaneous case) already. The returned
-/// instant always satisfies the predicate.
+/// instant always satisfies the predicate. Both ends must be finite: the
+/// midpoint of an infinite bracket stays infinite, so its bisection would
+/// never converge.
 #[must_use]
 pub fn first_true(
     lo: Seconds,
     hi: Seconds,
     mut pred: impl FnMut(Seconds) -> bool,
 ) -> Option<Seconds> {
+    contract!(
+        lo.is_finite() && hi.is_finite(),
+        "located-event window ({lo}, {hi}] is not finite"
+    );
     if hi <= lo {
         return None;
     }
@@ -109,6 +115,15 @@ mod tests {
         let pred = |t: Seconds| t.value() > 1.0 / 3.0;
         let at = first_true(Seconds::ZERO, Seconds::new(2.0), pred).expect("flip");
         assert!(pred(at));
+    }
+
+    #[test]
+    #[should_panic(expected = "is not finite")]
+    fn an_infinite_window_breaks_the_contract() {
+        // Forced on, so a release test run panics instead of bisecting
+        // forever.
+        dcb_units::contracts::force_enable();
+        let _ = first_true(Seconds::ZERO, Seconds::new(f64::INFINITY), |_| true);
     }
 
     #[test]
