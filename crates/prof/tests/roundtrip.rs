@@ -5,6 +5,12 @@
 //! determinism keystone for the profiler: byte-identical exports across
 //! `DCB_THREADS` reduce to canonical per-line encoding plus the sorted
 //! line order.
+//!
+//! Hostile input: a rendered profile after one mutation (a truncation, a
+//! deleted character, or a delimiter, escape, digit or non-ASCII text
+//! inserted or put in place of a character) must parse or fail cleanly,
+//! never panic, and text that parses must re-parse from its encoding to
+//! the same lines.
 
 use dcb_prof::collapsed::{self, CollapsedLine};
 use dcb_prof::{ProfNode, Profile, WorkKind};
@@ -71,6 +77,41 @@ fn tree_from(seed: u64, budget: &mut u32, depth: u32) -> ProfNode {
     }
 }
 
+/// Text the hostile mutations splice in: the format's delimiters, line
+/// breaks, an escape, digits and signs, and non-ASCII characters.
+const SPLICE: [&str; 16] = [
+    ";", " ", "[", "]", "\n", "\t", "\r", "\\", "0", "9", "-", "+", "é", "🔋", "\u{3000}",
+    "\u{feff}",
+];
+
+/// `text` after one mutation at the character boundary `at` selects:
+/// truncation there, deletion of the character there, or insertion or
+/// replacement of that character by the splice `pick` selects.
+fn mutate(text: &str, kind: usize, at: u64, pick: usize) -> String {
+    let bounds: Vec<usize> = text
+        .char_indices()
+        .map(|(i, _)| i)
+        .chain([text.len()])
+        .collect();
+    let i = bounds[usize::try_from(at % bounds.len() as u64).unwrap_or(0)];
+    let next = bounds.iter().copied().find(|&b| b > i).unwrap_or(i);
+    let splice = SPLICE[pick % SPLICE.len()];
+    match kind % 4 {
+        0 => text[..i].to_owned(),
+        1 => format!("{}{}", &text[..i], &text[next..]),
+        2 => format!("{}{splice}{}", &text[..i], &text[i..]),
+        _ => format!("{}{splice}{}", &text[..i], &text[next..]),
+    }
+}
+
+/// The lines in `encode`'s order, for comparing parses as multisets.
+fn sorted(mut lines: Vec<CollapsedLine>) -> Vec<CollapsedLine> {
+    lines.sort_by(|a, b| {
+        (&a.frames, a.kind.label(), a.weight).cmp(&(&b.frames, b.kind.label(), b.weight))
+    });
+    lines
+}
+
 fn totals_of_lines(lines: &[CollapsedLine]) -> [u64; 5] {
     let mut totals = [0u64; 5];
     for line in lines {
@@ -135,5 +176,24 @@ proptest! {
         let reparsed = collapsed::parse(&text);
         prop_assert!(reparsed.is_ok(), "{:?}", reparsed);
         prop_assert_eq!(collapsed::encode(&reparsed.unwrap()), text);
+    }
+
+    #[test]
+    fn mutated_profiles_error_or_round_trip(
+        seed in 0u64..=u64::MAX,
+        kind in 0usize..4,
+        at in 0u64..=u64::MAX,
+        pick in 0usize..1_000,
+    ) {
+        let mut budget = 12u32;
+        let profile = Profile {
+            root: tree_from(seed, &mut budget, 0),
+        };
+        let text = mutate(&collapsed::render(&profile), kind, at, pick);
+        if let Ok(lines) = collapsed::parse(&text) {
+            let reparsed = collapsed::parse(&collapsed::encode(&lines));
+            prop_assert!(reparsed.is_ok(), "{text:?} re-encoded fails: {reparsed:?}");
+            prop_assert_eq!(sorted(reparsed.unwrap()), sorted(lines), "{:?}", text);
+        }
     }
 }
