@@ -41,18 +41,22 @@ comp_end=$(date +%s)
 comp_elapsed=$((comp_end - comp_start))
 test "$comp_elapsed" -le 120 || { echo "componentized differential took ${comp_elapsed}s (> 120s budget)"; exit 1; }
 
-echo "== golden digests (kernel trajectories, sizing search, repro all output and the three observability outputs, bit for bit)"
+echo "== golden digests (kernel trajectories, sizing search, the §7 adaptive controller and its stepped oracle, repro all output and the three observability outputs, bit for bit)"
 cargo test -q --release -p dcb-sim --test kernel_golden
 cargo test -q --release -p dcb-core --test sizing_golden
 cargo test -q --release -p dcb-core --lib -- sizing::tests::pruned_search sizing::tests::ups_cost_never_decreases_with_runtime
+cargo test -q --release -p dcb-core --test online_golden
+cargo test -q --release -p dcb-core --lib -- online::tests::event_driven_controller_tracks_the_stepped_loop online::tests::decisions_do_not_depend_on_the_outage_length
 cargo test -q --release -p dcb-bench --test repro_golden
 cargo test -q --release -p dcb-bench --test observability_golden
 
-echo "== digest grouping, hostile specs and hostile JSON (typed fingerprints group as Debug text does; no spec or JSON input panics)"
+echo "== digest grouping and hostile input: specs, JSON, collapsed profiles and trace lines (typed fingerprints group as Debug text does; no input panics a parser, accepted profiles and lines round-trip)"
 cargo test -q --release -p dcb-fleet --test grouping
 cargo test -q --release -p dcb-topology --test grouping
 cargo test -q --release -p dcb-topology --test hostile_spec
 cargo test -q --release -p dcb-trace --test hostile_json
+cargo test -q --release -p dcb-prof --test roundtrip
+cargo test -q --release -p dcb-trace --test roundtrip
 
 echo "== engine bench smoke (event kernel vs stepped oracle)"
 DCB_ENGINE_BENCH_SMOKE=1 cargo bench -q -p dcb-bench --bench engine
