@@ -84,6 +84,48 @@ pub(crate) fn trace_dg_milestones(backup: &BackupSystem, outage: Seconds, root: 
     }
 }
 
+/// Who fires a kernel event: the technique's mode machine, the battery's
+/// shortfall rule, or the DG ramp's crash recovery. The names are the
+/// `engine.fired.<owner>` counters and `engine;<owner>` profiler frames a
+/// run records (OBSERVABILITY.md).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Owner {
+    TechniqueController,
+    BatteryPack,
+    DgRamp,
+}
+
+impl Owner {
+    /// Every owner, in recording order.
+    pub(crate) const ALL: [Owner; 3] = [
+        Owner::TechniqueController,
+        Owner::BatteryPack,
+        Owner::DgRamp,
+    ];
+
+    /// The owner's name in counters and profiler frames.
+    pub(crate) const fn name(self) -> &'static str {
+        match self {
+            Owner::TechniqueController => "technique-controller",
+            Owner::BatteryPack => "battery-pack",
+            Owner::DgRamp => "dg-ramp",
+        }
+    }
+
+    /// The owner's fired-event counter, `engine.fired.<owner>`. The match
+    /// keeps each name at a fixed call site so the `counter!` cache
+    /// applies.
+    pub(crate) fn fired_counter(self) -> &'static dcb_telemetry::Counter {
+        match self {
+            Owner::TechniqueController => {
+                dcb_telemetry::counter!("engine.fired.technique-controller")
+            }
+            Owner::BatteryPack => dcb_telemetry::counter!("engine.fired.battery-pack"),
+            Owner::DgRamp => dcb_telemetry::counter!("engine.fired.dg-ramp"),
+        }
+    }
+}
+
 /// What ends the segment under construction. Shared by the engine-hosted
 /// components (as the event token) and the legacy oracle loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,6 +147,19 @@ pub(crate) enum Pending {
 }
 
 impl Pending {
+    /// The part of the model whose rule fires this event.
+    pub(crate) const fn owner(self) -> Owner {
+        match self {
+            Pending::Shortfall => Owner::BatteryPack,
+            Pending::RecoveryReady => Owner::DgRamp,
+            Pending::Unthrottle
+            | Pending::Fallback
+            | Pending::Pause
+            | Pending::TimerDone
+            | Pending::End => Owner::TechniqueController,
+        }
+    }
+
     /// The calendar token encoding of this event kind.
     pub(crate) const fn token(self) -> u64 {
         match self {

@@ -17,7 +17,7 @@
 //! outlived its usefulness this module is the one to delete.
 
 use crate::engine::{Mode, OutageSim, RunState};
-use crate::kernel::{trace_dg_milestones, Pending, MAX_EVENTS};
+use crate::kernel::{trace_dg_milestones, Owner, Pending, MAX_EVENTS};
 use crate::segment::{Segment, SegmentEnd, Trajectory};
 use dcb_engine::locate::first_true;
 use dcb_power::BackupSystem;
@@ -78,6 +78,8 @@ impl OutageSim {
         let mut segments: Vec<Segment> = Vec::new();
         let mut t = Seconds::ZERO;
         let mut events = 0u32;
+        let mut fired = [0u64; Owner::ALL.len()];
+        let mut mode_changes = 0u64;
         while t < outage {
             events += 1;
             contract!(
@@ -90,19 +92,9 @@ impl OutageSim {
             }
 
             // Instantaneous transitions, in the stepper's per-step order.
-            let before = dcb_trace::enabled().then(|| st.mode.name());
+            let before = st.mode.name();
             self.apply_instantaneous(&mut st, backup, &transitions, t, outage);
-            if let Some(from) = before {
-                let to = st.mode.name();
-                if to != from {
-                    dcb_trace::instant(Some(dcb_trace::micros(t)), t_root, || {
-                        dcb_trace::EventKind::TechniqueTransition {
-                            from: from.to_owned(),
-                            to: to.to_owned(),
-                        }
-                    });
-                }
-            }
+            mode_changes += note_transition(before, &st.mode, t, t_root);
 
             // The segment's constant load, and the hard boundary: the next
             // mode-internal timer, or outage end.
@@ -129,42 +121,45 @@ impl OutageSim {
             let hi = boundary.0;
 
             // Candidate events inside (t, hi], tagged with a tie-breaking
-            // priority mirroring the stepper's within-step check order.
-            let mut cands: Vec<(Seconds, u8, Pending)> = vec![boundary];
+            // priority mirroring the stepper's within-step check order and
+            // offered in a fixed order: the earliest wins, and on a
+            // dead-even tie the lower priority number (the check the
+            // stepper runs first), then the earlier offer.
+            let mut best = boundary;
             if let Some(ts) = backup.first_shortfall(load, t, hi) {
-                cands.push((ts.max(t), 2, Pending::Shortfall));
+                offer(&mut best, (ts.max(t), 2, Pending::Shortfall));
             }
             let (unthrottle, fallback) =
                 self.locate_serving_events(backup, &transitions, &st.mode, load, t, hi, outage);
             if let Some(tu) = unthrottle {
-                cands.push((tu, 0, Pending::Unthrottle));
+                offer(&mut best, (tu, 0, Pending::Unthrottle));
             }
             if let Some(tf) = fallback {
-                cands.push((tf, 1, Pending::Fallback));
+                offer(&mut best, (tf, 1, Pending::Fallback));
             }
             if matches!(st.mode, Mode::Crashed) {
+                // A sufficiently ramped DG lets a crashed cluster reboot
+                // mid-outage (NoUPS: "DG translates long outages into short
+                // ones").
                 let reboot_load = self.supply_load(
                     &Mode::Recovering {
                         remaining: Seconds::ZERO,
                     },
                     backup,
                 );
-                if let Some(tr) =
-                    first_true(t, hi, |tau| backup.available_power(tau) >= reboot_load)
-                {
-                    cands.push((tr, 2, Pending::RecoveryReady));
-                }
-            }
-
-            // Earliest event wins; on a dead-even tie the lower priority
-            // number (the check the stepper runs first) does.
-            let mut best = cands[0];
-            for &c in &cands[1..] {
-                if c.0 < best.0 || (c.0 <= best.0 && c.1 < best.1) {
-                    best = c;
+                let ready = |tau| backup.available_power(tau) >= reboot_load;
+                if backup.dg().is_none() {
+                    // Without a DG the available power is the UPS's, which
+                    // does not move with τ, and the instantaneous check has
+                    // just found it short of the reboot load at `t`: no
+                    // instant of the window can reboot.
+                    contract!(!ready(hi), "DG-less recovery predicate holds at {hi}");
+                } else if let Some(tr) = first_true(t, hi, ready) {
+                    offer(&mut best, (tr, 2, Pending::RecoveryReady));
                 }
             }
             let (when, _, what) = best;
+            fired[what.owner() as usize] += 1;
             let end = when.min(outage).max(t);
 
             // Commit the segment: one exact Peukert ramp draw, no steps.
@@ -229,7 +224,7 @@ impl OutageSim {
             t = end;
 
             // Fire the event's transition.
-            let before = dcb_trace::enabled().then(|| st.mode.name());
+            let before = st.mode.name();
             match what {
                 Pending::End => {}
                 Pending::Pause => {
@@ -280,20 +275,68 @@ impl OutageSim {
                     };
                 }
             }
-            if let Some(from) = before {
-                let to = st.mode.name();
-                if to != from {
-                    dcb_trace::instant(Some(dcb_trace::micros(t)), t_root, || {
-                        dcb_trace::EventKind::TechniqueTransition {
-                            from: from.to_owned(),
-                            to: to.to_owned(),
-                        }
-                    });
-                }
-            }
+            mode_changes += note_transition(before, &st.mode, t, t_root);
         }
 
+        record_run(events, &fired);
+        dcb_telemetry::counter!("sim.kernel.mode_transitions").add(mode_changes);
         self.finish_trajectory(outage, st, backup, &transitions, segments)
+    }
+}
+
+/// Keeps the earlier of the best candidate so far and `candidate`: the
+/// earlier time wins, then the lower priority number; a full tie keeps
+/// the earlier offer.
+fn offer(best: &mut (Seconds, u8, Pending), candidate: (Seconds, u8, Pending)) {
+    if candidate.0 < best.0 || (candidate.0 <= best.0 && candidate.1 < best.1) {
+        *best = candidate;
+    }
+}
+
+/// Counts a change of mode name since `from` (1 or 0), and emits its
+/// technique-transition trace instant at `t`.
+fn note_transition(from: &'static str, mode: &Mode, t: Seconds, root: Option<u32>) -> u64 {
+    let to = mode.name();
+    if to == from {
+        return 0;
+    }
+    if dcb_trace::enabled() {
+        dcb_trace::instant(Some(dcb_trace::micros(t)), root, || {
+            dcb_trace::EventKind::TechniqueTransition {
+                from: from.to_owned(),
+                to: to.to_owned(),
+            }
+        });
+    }
+    1
+}
+
+/// Records one finished run: `engine.runs`, `engine.cycles` and its
+/// per-run histogram, and, while telemetry or the profiler records, the
+/// fires per owner as `engine.fired.<owner>` counters and `engine;<owner>`
+/// profiler frames. A cycle is one loop iteration; an owner that fired
+/// nothing registers no counter and opens no frame.
+fn record_run(cycles: u32, fired: &[u64; Owner::ALL.len()]) {
+    dcb_telemetry::counter!("engine.runs").incr();
+    dcb_telemetry::counter!("engine.cycles").add(u64::from(cycles));
+    dcb_telemetry::histogram!("engine.cycles_per_run").observe(u64::from(cycles));
+    if dcb_telemetry::enabled() {
+        for (owner, &n) in Owner::ALL.iter().zip(fired) {
+            if n > 0 {
+                owner.fired_counter().add(n);
+            }
+        }
+    }
+    if dcb_prof::enabled() {
+        // The per-owner sum equals `engine.cycles`, so the profile
+        // reconciles with telemetry exactly.
+        let _engine = dcb_prof::frame("engine");
+        for (owner, &n) in Owner::ALL.iter().zip(fired) {
+            if n > 0 {
+                let _owner = dcb_prof::frame(owner.name());
+                dcb_prof::record(dcb_prof::WorkKind::Cycles, n);
+            }
+        }
     }
 }
 
