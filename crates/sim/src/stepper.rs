@@ -1,36 +1,26 @@
-//! The legacy fixed-step solver, kept as a differential oracle for the
-//! event-driven kernel — now expressed as a timed-clock `dcb-engine`
-//! component.
+//! The fixed-step solver, kept as a differential oracle for the
+//! event-driven kernel.
 //!
-//! This is the original engine loop: advance in fixed steps (sub-second
-//! for short outages, a bounded step count for long ones), at each step
+//! This is the original solver: advance in fixed steps (sub-second for
+//! short outages, a bounded step count for long ones), at each step
 //! deciding the cluster's load from its mode, drawing that load from the
 //! [`BackupSystem`], progressing transition timers, and accumulating
-//! metrics. Since the `dcb-engine` extraction the cadence comes from an
-//! engine-managed [`ClockSpec::Every`] clock instead of a hand-rolled
-//! `while` loop; the per-step arithmetic is untouched — the component
-//! keeps its own accumulated `t` (the legacy `t += dt` sequence, not the
-//! clock's product grid) so results stay bit-identical to the historical
-//! solver, and the horizon tick drains whatever fractional step the
-//! accumulated time still owes. Its results converge on the kernel's as
+//! metrics. It is a plain loop over the accumulated time `t += dt` with
+//! `dt = step.min(outage - t)`, so the last step takes whatever remainder
+//! the accumulated time still owes, and every floating-point operation
+//! matches the historical solver. Its results converge on the kernel's as
 //! the step shrinks — the property the differential test suite asserts —
 //! which is the only reason it survives; production callers use
 //! [`OutageSim::run`](crate::OutageSim::run).
 
 use crate::engine::{Mode, OutageSim, RunState};
 use crate::{Fallback, SimOutcome};
-use dcb_engine::{ClockSpec, Component, Ctx, Engine, Fired};
 use dcb_power::BackupSystem;
 use dcb_server::{ThrottleLevel, TransitionTimes};
-use dcb_units::{contract, Fraction, Seconds};
+use dcb_units::{Fraction, Seconds};
 use dcb_workload::Workload;
 
-/// Token of the per-step clock tick.
-const TICK: u64 = 0;
-/// Token of the horizon tick that drains the final fractional step.
-const DONE: u64 = 1;
-
-/// The stepper world: the legacy loop's locals.
+/// The stepper's state: the historical loop's locals.
 struct StepWorld<'a> {
     sim: &'a OutageSim,
     backup: &'a mut BackupSystem,
@@ -45,14 +35,14 @@ struct StepWorld<'a> {
     serving_integral: f64,
     downtime: Seconds,
     expected_recovery: Seconds,
-    /// Accumulated time: the legacy `t += dt` sequence, deliberately kept
-    /// separate from the clock's product grid so every floating-point
-    /// operation matches the historical solver.
+    /// Accumulated time: the historical `t += dt` sequence, not a product
+    /// grid `k · step`, so every floating-point operation matches the
+    /// historical solver.
     t: Seconds,
 }
 
-/// Runs one legacy step: `dt = step.min(outage - t)`, moved verbatim
-/// from the historical loop body.
+/// Runs one step: `dt = step.min(outage - t)`, the historical loop body
+/// verbatim.
 fn advance_one(world: &mut StepWorld) {
     let dt = world.step.min(world.outage - world.t);
     // Once a DG has ramped up far enough to carry the *unthrottled*
@@ -232,36 +222,6 @@ fn advance_one(world: &mut StepWorld) {
     world.t += dt;
 }
 
-/// The timed-clock component driving the fixed-step solver: one legacy
-/// step per [`ClockSpec::Every`] tick, with the horizon tick draining
-/// whatever accumulated-time remainder the product grid missed.
-struct StepClock;
-
-impl<'a> Component<StepWorld<'a>> for StepClock {
-    fn name(&self) -> &'static str {
-        "step-clock"
-    }
-
-    fn fire(&mut self, world: &mut StepWorld<'a>, _ctx: &mut Ctx, fired: &Fired) {
-        match fired.token {
-            TICK => {
-                if world.t < world.outage {
-                    advance_one(world);
-                }
-            }
-            _ => {
-                contract!(fired.token == DONE, "unknown stepper token {}", fired.token);
-                // The clock grid is `k * step`; the accumulated legacy
-                // time can land short of the horizon by rounding, still
-                // owing a fractional step (or two) at outage end.
-                while world.t < world.outage {
-                    advance_one(world);
-                }
-            }
-        }
-    }
-}
-
 impl OutageSim {
     /// Runs the fixed-step solver against a fresh backup system with the
     /// historical step rule `max(outage / 7200, 0.25 s)`.
@@ -322,23 +282,9 @@ impl OutageSim {
             t: Seconds::ZERO,
         };
 
-        let mut engine: Engine<StepWorld> = Engine::new(outage);
-        let clock = engine.add_component(StepClock);
-        engine.add_clock(clock, 3, TICK, ClockSpec::Every(step));
-        engine.add_clock(clock, 4, DONE, ClockSpec::Horizon);
-        // One engine cycle per grid tick plus the horizon: the budget is
-        // sized to the grid, not the kernel's event count.
-        let ticks = (outage.value() / step.value()).ceil();
-        let budget = if ticks.is_finite() && ticks < f64::from(u32::MAX - 8) {
-            ticks as u32
-        } else {
-            u32::MAX - 8
-        };
-        engine.set_max_events(budget.saturating_add(8));
-        engine.run(&mut world);
-        // The engine's type captures the world's borrow of `backup`;
-        // release both before assembling from it.
-        drop(engine);
+        while world.t < world.outage {
+            advance_one(&mut world);
+        }
 
         let StepWorld {
             transitions,
