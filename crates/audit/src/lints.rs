@@ -79,7 +79,7 @@ pub fn all() -> Vec<LintSpec> {
         },
         LintSpec {
             name: "kernel-internals",
-            summary: "sim-kernel-private machinery (RunState, KernelWorld, the legacy oracle entry points) outside crates/sim; model crates consume the facade (run/run_trajectory) only (tests and benches are exempt by role)",
+            summary: "sim-kernel-private machinery (the RunState accumulator, the stepper's StepWorld) outside crates/sim; model crates consume the facade (run/run_trajectory) only (tests and benches are exempt by role)",
             roles: &[Role::Library, Role::Binary],
             exempt_crates: &["sim"],
             skip_in_test: true,
@@ -356,17 +356,14 @@ fn stepped_sim(tokens: &[Token]) -> Vec<(u32, String)> {
 }
 
 /// `kernel-internals`: sim-kernel-private machinery — the `RunState`
-/// accumulator, the componentized `KernelWorld`/`StepWorld` worlds, or
-/// the legacy bit-identity oracle (`*_trajectory_legacy`) — referenced
+/// accumulator or the fixed-step oracle's `StepWorld` — referenced
 /// outside the sim crate.
 fn kernel_internals(tokens: &[Token]) -> Vec<(u32, String)> {
     tokens
         .iter()
         .filter_map(|t| {
             let name = t.kind.ident()?;
-            let fenced = matches!(name, "RunState" | "KernelWorld" | "StepWorld")
-                || name.ends_with("_trajectory_legacy");
-            fenced.then(|| {
+            matches!(name, "RunState" | "StepWorld").then(|| {
                 (
                     t.line,
                     format!("`{name}` is sim-kernel-internal; model crates consume the `OutageSim` facade (`run`/`run_trajectory`)"),
@@ -578,12 +575,7 @@ mod tests {
     #[test]
     fn kernel_internals_are_fenced() {
         assert_eq!(check("fn f(st: &RunState) {}").len(), 1);
-        assert_eq!(check("fn f(w: &mut KernelWorld) {}").len(), 1);
-        assert_eq!(check("fn f() { sim.run_trajectory_legacy(d); }").len(), 1);
-        assert_eq!(
-            check("fn f() { sim.run_with_backup_trajectory_legacy(d, &mut b); }").len(),
-            1
-        );
+        assert_eq!(check("fn f(w: &mut StepWorld) {}").len(), 1);
         // The facade is what model crates should consume.
         assert!(check("fn f() { let t = sim.run_trajectory(d); }").is_empty());
         // Inside crates/sim the machinery is at home.

@@ -1,12 +1,8 @@
 //! Fixture: model code reaching into the sim kernel's private machinery
-//! instead of the `OutageSim` facade (3 expected `kernel-internals`
-//! findings: the `RunState` accumulator, the componentized `KernelWorld`,
-//! and a legacy oracle entry point).
+//! instead of the `OutageSim` facade (2 expected `kernel-internals`
+//! findings: the `RunState` accumulator and the fixed-step oracle's
+//! `StepWorld`).
 
-pub fn inspect(st: &RunState, world: &KernelWorld) -> bool {
-    st.state_lost || world.segments.is_empty()
-}
-
-pub fn rerun(sim: &OutageSim, outage: Seconds) -> Trajectory {
-    sim.run_trajectory_legacy(outage)
+pub fn inspect(st: &RunState, world: &StepWorld) -> bool {
+    st.state_lost || world.state_lost
 }

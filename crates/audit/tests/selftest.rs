@@ -45,7 +45,7 @@ fn every_lint_class_is_detected() {
         ("thread_spawn.rs", "thread-spawn", 2),
         ("panic_site.rs", "panic-site", 4),
         ("stepped_sim.rs", "stepped-sim", 2),
-        ("kernel_internals.rs", "kernel-internals", 3),
+        ("kernel_internals.rs", "kernel-internals", 2),
         ("telemetry_in_result.rs", "telemetry-in-result", 3),
         ("trace_in_result.rs", "trace-in-result", 3),
         ("prof_in_result.rs", "prof-in-result", 3),

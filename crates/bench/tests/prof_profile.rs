@@ -32,8 +32,8 @@ fn collapsed_profile_is_byte_identical_across_threads_and_reconciles() {
     let reference = repro_profile("1", "collapsed");
     let text = String::from_utf8(reference.clone()).expect("collapsed output is utf-8");
 
-    // The fig5 sweep exercises every instrumented layer: engine
-    // components, kernel phases, the locate root finder, and the
+    // The fig5 sweep exercises every instrumented layer: the kernel's
+    // per-owner cycles, its segments, the locate root finder, and the
     // evaluation cache. (No topology resolve in fig5 — node-steps stays
     // zero and absent.)
     for needle in [

@@ -7,12 +7,9 @@
 //! within one step), then the posting sequence number. The sequence
 //! number is assigned by the calendar in posting order, so dead-even ties
 //! resolve to whichever event was posted first — a pure function of
-//! program order, never of thread scheduling. This is what makes engine
-//! results bit-identical across `DCB_THREADS` settings: the winning event
-//! — and therefore every downstream floating-point operation — is fully
-//! determined by the posted set.
+//! program order, never of thread scheduling: the drain order, and so
+//! anything computed from it, is fully determined by the posted set.
 
-use crate::component::ComponentId;
 use crate::time::EventTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -28,31 +25,17 @@ pub struct EventKey {
     pub seq: u64,
 }
 
-/// Where a calendar entry came from (transient posts die with the cycle's
-/// [`Calendar::clear_pending`]; clock and wakeup entries are re-posted by
-/// the engine until they fire).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum Origin {
-    /// Posted this cycle via `Ctx::post`.
-    Transient,
-    /// Posted on behalf of an engine-managed clock.
-    Clock(usize),
-    /// Posted on behalf of a pending event-driven wakeup.
-    Wake(usize),
-}
-
 /// One scheduled event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Posted {
     /// Ordering key (compared first; `seq` is unique, so the derived
     /// lexicographic order is total and deterministic).
     pub key: EventKey,
-    /// The component whose `fire` hook handles the event.
-    pub owner: ComponentId,
-    /// Opaque payload chosen by the poster (components typically encode a
-    /// small event-kind enum here).
+    /// Who handles the event, as the poster numbers its handlers.
+    pub owner: usize,
+    /// Opaque payload chosen by the poster (typically a small event-kind
+    /// enum).
     pub token: u64,
-    pub(crate) origin: Origin,
 }
 
 /// A priority queue of [`Posted`] events with deterministic tie-breaking.
@@ -69,64 +52,21 @@ impl Calendar {
         Self::default()
     }
 
-    /// Schedules an event and returns its key. The sequence number is
-    /// assigned here, in posting order.
-    pub fn post(&mut self, owner: ComponentId, time: EventTime, class: u8, token: u64) -> EventKey {
-        self.post_from(owner, time, class, token, Origin::Transient)
-    }
-
-    pub(crate) fn post_from(
-        &mut self,
-        owner: ComponentId,
-        time: EventTime,
-        class: u8,
-        token: u64,
-        origin: Origin,
-    ) -> EventKey {
+    /// Schedules an event; its sequence number is assigned here, in
+    /// posting order.
+    pub fn post(&mut self, owner: usize, time: EventTime, class: u8, token: u64) {
         let key = EventKey {
             time,
             class,
             seq: self.next_seq,
         };
         self.next_seq += 1;
-        self.heap.push(Reverse(Posted {
-            key,
-            owner,
-            token,
-            origin,
-        }));
-        key
-    }
-
-    /// The earliest scheduled event, if any.
-    #[must_use]
-    pub fn earliest(&self) -> Option<&Posted> {
-        self.heap.peek().map(|Reverse(p)| p)
+        self.heap.push(Reverse(Posted { key, owner, token }));
     }
 
     /// Removes and returns the earliest scheduled event.
     pub fn pop(&mut self) -> Option<Posted> {
         self.heap.pop().map(|Reverse(p)| p)
-    }
-
-    /// Drops every pending entry (the engine does this at each cycle
-    /// start: components re-plan against current state, so stale
-    /// candidates must not linger). Sequence numbering keeps advancing so
-    /// ties never compare entries from different cycles.
-    pub fn clear_pending(&mut self) {
-        self.heap.clear();
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether nothing is scheduled.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -171,15 +111,5 @@ mod tests {
         assert_eq!(cal.pop().unwrap().token, 10);
         assert_eq!(cal.pop().unwrap().token, 11);
         assert_eq!(cal.pop().unwrap().token, 12);
-    }
-
-    #[test]
-    fn clear_keeps_seq_monotonic() {
-        let mut cal = Calendar::new();
-        let k1 = cal.post(0, at(1.0), 0, 0);
-        cal.clear_pending();
-        assert!(cal.is_empty());
-        let k2 = cal.post(0, at(1.0), 0, 0);
-        assert!(k2.seq > k1.seq);
     }
 }

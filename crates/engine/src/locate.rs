@@ -1,22 +1,23 @@
 //! Located events: the first-true root finder.
 //!
 //! Hard events have closed-form times; *located* events are
-//! predicate-shaped. The kernel feeds this finder three predicates: "the
-//! first instant the DG can carry the unthrottled load", "the latest safe
-//! instant to fall back" and "the first instant a crashed cluster has
-//! enough power to reboot". It brackets the earliest flip of a predicate
-//! over `(lo, hi]` with a coarse forward scan, then bisects the bracket.
-//! A predicate need not stay true once it flips: the recovery predicate
-//! falls again when a fuel-limited DG runs dry. The scan only ever trusts
-//! the earliest bracketed flip, so the root is the first false→true
-//! transition the grid sees; a flip and fall between two samples goes
-//! unseen.
+//! predicate-shaped. Four searches call this finder. The outage kernel
+//! asks for "the first instant the DG can carry the unthrottled load",
+//! "the latest safe instant to fall back" and "the first instant a
+//! crashed cluster has enough power to reboot"; the §7 controller asks
+//! for "the first instant a re-plan picks another mode". The finder
+//! brackets the earliest flip of a predicate over `(lo, hi]` with a
+//! coarse forward scan, then bisects the bracket. A predicate need not
+//! stay true once it flips: the recovery predicate falls again when a
+//! fuel-limited DG runs dry. The scan only ever trusts the earliest
+//! bracketed flip, so the root is the first false→true transition the
+//! grid sees; a flip and fall between two samples goes unseen.
 //!
 //! Determinism note: the sample grid is a pure function of `(lo, hi)`, so
-//! callers must pin `hi` to the cycle's hard-event window *before*
-//! searching (the engine's two-stage hard/plan split exists for exactly
-//! this reason) — a different `hi` means different sample points, a
-//! different bracket, and a root differing in the low-order bits.
+//! callers must pin `hi` before searching — the kernel's segment loop
+//! fixes the window from the next timer or outage end before it runs any
+//! search. A different `hi` means different sample points, a different
+//! bracket, and a root differing in the low-order bits.
 
 use dcb_units::{contract, Seconds};
 
@@ -26,7 +27,7 @@ const SCAN_SAMPLES: u32 = 32;
 const BISECT_TOL: f64 = 1e-7;
 
 /// The earliest `t` in `(lo, hi]` at which `pred` is true, to within
-/// [`BISECT_TOL`]; `None` if it never flips. The caller is expected to
+/// 1e-7 s; `None` if it never flips. The caller is expected to
 /// have handled `pred(lo)` (the instantaneous case) already. The returned
 /// instant always satisfies the predicate. Both ends must be finite: the
 /// midpoint of an infinite bracket stays infinite, so its bisection would
@@ -138,7 +139,7 @@ mod tests {
     fn window_pins_the_sample_grid() {
         // Same predicate, same lo, different hi: the scan grids differ, so
         // the located roots may differ in the low-order bits — the reason
-        // the engine pins hi before any search runs. Equal windows must
+        // callers pin hi before any search runs. Equal windows must
         // produce bit-identical roots.
         let pred = |t: Seconds| t.value() * t.value() > 2.0;
         let a = first_true(Seconds::ZERO, Seconds::new(10.0), pred).expect("flip");

@@ -3,17 +3,16 @@
 //! The calendar needs a key type with a *total* order — `f64`'s partial
 //! order would make tie-breaking (and therefore cross-thread determinism)
 //! depend on NaN handling at every comparison site. [`EventTime`] admits
-//! only finite, non-negative instants, compares with `total_cmp` (which
-//! coincides with numeric order on that domain), and exposes the virtual
-//! microsecond projection used by trace timestamps. The underlying `f64`
-//! seconds are preserved exactly: event times produced by bisection at
-//! 1e-7 s tolerance must not be quantized, or downstream arithmetic would
-//! differ from a non-engine formulation in the low-order bits.
+//! only finite, non-negative instants and compares with `total_cmp`
+//! (which coincides with numeric order on that domain). The underlying
+//! `f64` seconds are preserved exactly: event times produced by bisection
+//! at 1e-7 s tolerance must not be quantized, or downstream arithmetic
+//! would differ in the low-order bits.
 
 use dcb_units::{contract, Seconds};
 use std::cmp::Ordering;
 
-/// An instant on the engine's virtual clock, in simulated seconds.
+/// An instant of virtual time, in simulated seconds.
 ///
 /// Construction checks (under contracts) that the instant is finite and
 /// non-negative, the domain on which `total_cmp` equals numeric order.
@@ -21,9 +20,6 @@ use std::cmp::Ordering;
 pub struct EventTime(Seconds);
 
 impl EventTime {
-    /// The start of virtual time.
-    pub const ZERO: EventTime = EventTime(Seconds::ZERO);
-
     /// Wraps a simulated-seconds instant.
     #[must_use]
     pub fn new(at: Seconds) -> Self {
@@ -38,33 +34,6 @@ impl EventTime {
     #[must_use]
     pub fn seconds(self) -> Seconds {
         self.0
-    }
-
-    /// The instant in whole virtual microseconds (the trace timestamp
-    /// projection; display-only, never fed back into event arithmetic).
-    #[must_use]
-    pub fn micros(self) -> u64 {
-        dcb_trace::micros(self.0)
-    }
-
-    /// The later of two instants.
-    #[must_use]
-    pub fn max(self, other: EventTime) -> EventTime {
-        if self < other {
-            other
-        } else {
-            self
-        }
-    }
-
-    /// The earlier of two instants.
-    #[must_use]
-    pub fn min(self, other: EventTime) -> EventTime {
-        if other < self {
-            other
-        } else {
-            self
-        }
     }
 }
 
@@ -103,8 +72,6 @@ mod tests {
         let a = EventTime::new(Seconds::new(1.0));
         let b = EventTime::new(Seconds::new(2.0));
         assert!(a < b);
-        assert_eq!(a.max(b), b);
-        assert_eq!(a.min(b), a);
         assert_eq!(a, EventTime::new(Seconds::new(1.0)));
     }
 
@@ -115,11 +82,5 @@ mod tests {
             EventTime::new(Seconds::new(t)).seconds().value().to_bits(),
             t.to_bits()
         );
-    }
-
-    #[test]
-    fn micros_projection_matches_trace() {
-        let s = Seconds::from_minutes(2.0);
-        assert_eq!(EventTime::new(s).micros(), dcb_trace::micros(s));
     }
 }

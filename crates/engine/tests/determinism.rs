@@ -1,9 +1,7 @@
-//! Determinism proptests: the calendar's tie-breaking is exactly a
-//! stable sort by `(time, class)`, and whole engine runs are
-//! bit-identical no matter how many fleet workers fan them out.
+//! Determinism proptest: the calendar's tie-breaking is exactly a stable
+//! sort by `(time, class)`.
 
-use dcb_engine::{Calendar, ClockSpec, Component, Ctx, Engine, EventTime, Fired};
-use dcb_fleet::FleetPool;
+use dcb_engine::{Calendar, EventTime};
 use dcb_units::Seconds;
 use proptest::prelude::*;
 
@@ -19,11 +17,6 @@ fn mix(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// A unit draw in `[0, 1)` from the splitmix stream.
-fn unit(state: &mut u64) -> f64 {
-    (mix(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 proptest! {
@@ -48,117 +41,5 @@ proptest! {
             drained.push(p.token as usize);
         }
         prop_assert_eq!(drained, expected);
-    }
-}
-
-/// A world whose trajectory is all non-associative float arithmetic: any
-/// reordering of fired events changes the final bits.
-struct Acc {
-    x: f64,
-    horizon_hits: u32,
-}
-
-/// Posts its whole (future) schedule every cycle; each firing folds the
-/// event time into the accumulator.
-struct Folder {
-    class: u8,
-    times: Vec<f64>,
-}
-
-impl Component<Acc> for Folder {
-    fn name(&self) -> &'static str {
-        "folder"
-    }
-
-    fn hard_event(&mut self, _world: &mut Acc, ctx: &mut Ctx) {
-        for &t in &self.times {
-            if at(t) > ctx.now() {
-                ctx.post(at(t), self.class, t.to_bits());
-            }
-        }
-    }
-
-    fn fire(&mut self, world: &mut Acc, _ctx: &mut Ctx, fired: &Fired) {
-        let t = f64::from_bits(fired.token);
-        world.x = world.x * 1.000_001 + t * f64::from(fired.class + 1);
-    }
-}
-
-/// A timed clock folding its ticks in on a fixed cadence.
-struct Ticker;
-
-impl Component<Acc> for Ticker {
-    fn name(&self) -> &'static str {
-        "ticker"
-    }
-
-    fn fire(&mut self, world: &mut Acc, _ctx: &mut Ctx, fired: &Fired) {
-        if fired.token == 1 {
-            world.horizon_hits += 1;
-        } else {
-            world.x = (world.x + 1.0) * 0.999_999;
-        }
-    }
-}
-
-/// One scenario: two event schedules racing a periodic clock to a
-/// horizon. Returns the accumulator's exact bits.
-fn run_scenario(scenario: &(Vec<f64>, Vec<f64>, f64)) -> u64 {
-    let (a, b, period) = scenario;
-    let mut world = Acc {
-        x: 1.0,
-        horizon_hits: 0,
-    };
-    let mut engine: Engine<Acc> = Engine::new(Seconds::new(100.0));
-    engine.add_component(Folder {
-        class: 0,
-        times: a.clone(),
-    });
-    engine.add_component(Folder {
-        class: 1,
-        times: b.clone(),
-    });
-    let ticker = engine.add_component(Ticker);
-    engine.add_clock(ticker, 2, 0, ClockSpec::Every(Seconds::new(*period)));
-    engine.add_clock(ticker, 3, 1, ClockSpec::Horizon);
-    engine.run(&mut world);
-    assert_eq!(world.horizon_hits, 1, "horizon fires exactly once");
-    world.x.to_bits()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The same batch of scenarios fanned out over 1, 2, and 8 fleet
-    /// workers produces bit-identical accumulators — the engine reads no
-    /// thread state, and the pool preserves submission order. Shared
-    /// times across the two schedules force same-instant ties through
-    /// the class ordering.
-    #[test]
-    fn engine_runs_are_bit_identical_across_thread_counts(
-        seed in 0u64..1_000_000,
-        len in 1usize..12,
-        shared_len in 1usize..6,
-        period in 3.0f64..40.0,
-    ) {
-        let mut state = seed;
-        let a: Vec<f64> = (0..len).map(|_| unit(&mut state) * 90.0).collect();
-        let shared: Vec<f64> = (0..shared_len).map(|_| unit(&mut state) * 90.0).collect();
-        let mut b = shared.clone();
-        b.extend(a.iter().rev().take(3).copied());
-        let mut scenarios = Vec::new();
-        for k in 0..6 {
-            let mut av = a.clone();
-            av.extend(shared.iter().copied());
-            av.push(f64::from(k));
-            scenarios.push((av, b.clone(), period));
-        }
-        let baseline: Vec<u64> = FleetPool::with_threads(1)
-            .run_all(&scenarios, run_scenario);
-        for threads in [2usize, 8] {
-            let bits: Vec<u64> = FleetPool::with_threads(threads)
-                .run_all(&scenarios, run_scenario);
-            prop_assert_eq!(&bits, &baseline, "threads = {}", threads);
-        }
     }
 }

@@ -135,7 +135,7 @@ pub fn mode_from_env() -> ProfMode {
 /// per-kind totals reconcile exactly with the telemetry snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum WorkKind {
-    /// Engine calendar cycles (fired events), attributed per component.
+    /// Kernel loop cycles (fired events), attributed per owner.
     Cycles,
     /// Kernel segments committed, attributed per end cause.
     Segments,

@@ -2,8 +2,8 @@
 //! [`OutageSim`] entry points.
 //!
 //! Two interchangeable solvers share everything in this module: the
-//! event-driven piecewise-analytic kernel (`kernel.rs`, the default behind
-//! [`OutageSim::run`]) and the legacy fixed-step loop (`stepper.rs`, kept
+//! event-driven piecewise-analytic kernel (`kernel.rs`, the segment loop
+//! behind [`OutageSim::run`]) and the fixed-step loop (`stepper.rs`, kept
 //! as a differential oracle). Mode semantics, fallback planning, and
 //! outcome assembly live here so the two cannot drift apart.
 

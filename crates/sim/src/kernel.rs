@@ -1,9 +1,11 @@
-//! The event-driven piecewise-analytic solver: public facade and shared
-//! transition rules.
+//! The event-driven piecewise-analytic solver behind
+//! [`OutageSim::run`](crate::OutageSim::run).
 //!
 //! Between events the cluster's mode — hence its load — is constant, so
 //! the outage advances segment by segment instead of step by step. Each
-//! iteration finds the earliest of:
+//! iteration of the segment loop in
+//! [`OutageSim::run_with_backup_trajectory`] applies the zero-duration
+//! transitions valid at the current instant, then finds the earliest of:
 //!
 //! * a mode-internal timer expiry (sleep entered, save finished, migration
 //!   copy→pause switch or completion, recovery booted) — known exactly;
@@ -16,24 +18,22 @@
 //! * the instant a crashed cluster finds enough backup power to reboot;
 //! * outage end.
 //!
-//! Since the `dcb-engine` extraction the solver itself is hosted as a set
-//! of engine components — see [`components`](crate::components) for the
-//! technique controller, battery pack, DG ramp and supply segmenter, and
-//! [`legacy`](crate::legacy) for the original hand-rolled loop kept as a
-//! bit-identity oracle. This module keeps the stable entry points
-//! ([`OutageSim::run_trajectory`] and friends) and the transition rules
-//! both hosts share: the instantaneous mode checks, the shortfall crash
-//! rule, the located-event searches of a serving cluster, the DG ramp
-//! milestones, and the per-end-cause telemetry.
+//! It commits the segment up to that event with one exact Peukert ramp
+//! draw and fires the event's transition. The timer, or else outage end,
+//! pins the window `(t, hi]` before any located search runs: a search's
+//! sample grid is a pure function of its bracket, so this code order is
+//! what keeps every located root, and every value computed from it,
+//! bit-stable (DESIGN.md §14). A run records the `engine.*` counters and
+//! profiler frames under the names they have always had
+//! (OBSERVABILITY.md).
 
-use crate::components;
 use crate::engine::{Mode, OutageSim, RunState};
 use crate::segment::{Segment, SegmentEnd, Trajectory};
 use crate::Fallback;
 use dcb_engine::locate::first_true;
 use dcb_power::BackupSystem;
 use dcb_server::{ThrottleLevel, TransitionTimes};
-use dcb_units::{contract, Seconds, Watts};
+use dcb_units::{contract, Fraction, Seconds, Watts};
 
 /// Event budget per outage. Real trajectories resolve in well under a
 /// hundred events; the cap is a modeling-bug backstop, not a tuning knob.
@@ -58,8 +58,8 @@ pub(crate) fn segment_end_counter(end: SegmentEnd) -> &'static dcb_telemetry::Co
 /// outage of length `outage` reaches: the engine start; full power, when
 /// the ramp completes before any fuel limit stops the generator; and fuel
 /// exhaustion at `start_delay + fuel_runtime`, where the DG model runs the
-/// fuel out. Both kernel hosts emit them up front: they are a pure
-/// function of time.
+/// fuel out. The loop emits them up front: they are a pure function of
+/// time.
 pub(crate) fn trace_dg_milestones(backup: &BackupSystem, outage: Seconds, root: Option<u32>) {
     let Some(dg) = backup.dg() else {
         return;
@@ -126,8 +126,7 @@ impl Owner {
     }
 }
 
-/// What ends the segment under construction. Shared by the engine-hosted
-/// components (as the event token) and the legacy oracle loop.
+/// What ends the segment under construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Pending {
     /// Restore full speed: the DG now carries the unthrottled load.
@@ -159,35 +158,6 @@ impl Pending {
             | Pending::End => Owner::TechniqueController,
         }
     }
-
-    /// The calendar token encoding of this event kind.
-    pub(crate) const fn token(self) -> u64 {
-        match self {
-            Pending::Unthrottle => 0,
-            Pending::Fallback => 1,
-            Pending::Shortfall => 2,
-            Pending::Pause => 3,
-            Pending::TimerDone => 4,
-            Pending::RecoveryReady => 5,
-            Pending::End => 6,
-        }
-    }
-
-    /// Decodes a calendar token posted by one of the kernel components.
-    pub(crate) fn from_token(token: u64) -> Pending {
-        match token {
-            0 => Pending::Unthrottle,
-            1 => Pending::Fallback,
-            2 => Pending::Shortfall,
-            3 => Pending::Pause,
-            4 => Pending::TimerDone,
-            5 => Pending::RecoveryReady,
-            _ => {
-                contract!(token == 6, "unknown kernel event token {token}");
-                Pending::End
-            }
-        }
-    }
 }
 
 impl OutageSim {
@@ -203,10 +173,6 @@ impl OutageSim {
     /// preserving its battery state of charge, and returns the full
     /// segment trajectory alongside the outcome.
     ///
-    /// Hosted on the `dcb-engine` component core; asserted bit-identical
-    /// to [`OutageSim::run_with_backup_trajectory_legacy`] by the
-    /// componentized differential suite.
-    ///
     /// # Panics
     ///
     /// Panics if `outage` is negative or non-finite.
@@ -220,9 +186,23 @@ impl OutageSim {
             outage.value() >= 0.0 && outage.is_finite(),
             "outage must be finite and non-negative"
         );
+        // Root trace event for this scenario plus the DG ramp milestones,
+        // which are a pure function of time and can be emitted up front.
+        let t_root = if dcb_trace::enabled() {
+            let root = dcb_trace::instant(Some(0), None, || dcb_trace::EventKind::OutageStart {
+                config: self.config().label().to_owned(),
+                technique: self.technique().name().to_owned(),
+                outage_us: dcb_trace::micros(outage),
+            });
+            trace_dg_milestones(backup, outage, root);
+            root
+        } else {
+            None
+        };
+
         let transitions = TransitionTimes::new(*self.cluster().spec());
         let (mode, state_lost) = self.initial_mode(&transitions);
-        let st = RunState {
+        let mut st = RunState {
             mode,
             state_lost,
             unplanned_crash: false,
@@ -230,12 +210,215 @@ impl OutageSim {
             serving_integral: 0.0,
             downtime: Seconds::ZERO,
         };
-        let run = components::run_componentized(self, outage, backup, &transitions, st);
-        self.finish_trajectory(outage, run.st, backup, &transitions, run.segments)
+        let mut segments: Vec<Segment> = Vec::new();
+        let mut t = Seconds::ZERO;
+        let mut events = 0u32;
+        let mut fired = [0u64; Owner::ALL.len()];
+        let mut mode_changes = 0u64;
+        while t < outage {
+            events += 1;
+            contract!(
+                events <= MAX_EVENTS,
+                "event budget exceeded at t={t} in mode {:?}",
+                st.mode
+            );
+            if events > MAX_EVENTS {
+                break; // modeling-bug backstop; the contract above reports it
+            }
+
+            // Instantaneous transitions, in the stepper's per-step order.
+            let before = st.mode.name();
+            self.apply_instantaneous(&mut st, backup, &transitions, t, outage);
+            mode_changes += note_transition(before, &st.mode, t, t_root);
+
+            // The segment's constant load, and the hard boundary: the next
+            // mode-internal timer, or outage end.
+            let load = self.supply_load(&st.mode, backup);
+            let timer: Option<(Seconds, Pending)> = match &st.mode {
+                Mode::Migrating {
+                    remaining, pause, ..
+                } => Some(if *remaining > *pause {
+                    (t + (*remaining - *pause), Pending::Pause)
+                } else {
+                    (t + *remaining, Pending::TimerDone)
+                }),
+                Mode::EnteringSleep { remaining, .. }
+                | Mode::Saving { remaining, .. }
+                | Mode::Recovering { remaining } => Some((t + *remaining, Pending::TimerDone)),
+                _ => None,
+            };
+            // A timer landing exactly on outage end still fires (the
+            // stepper progresses the mode within its final step).
+            let boundary = match timer {
+                Some((at, ev)) if at <= outage => (at, 3u8, ev),
+                _ => (outage, 4u8, Pending::End),
+            };
+            let hi = boundary.0;
+
+            // Candidate events inside (t, hi], tagged with a tie-breaking
+            // priority mirroring the stepper's within-step check order and
+            // offered in a fixed order: the earliest wins, and on a
+            // dead-even tie the lower priority number (the check the
+            // stepper runs first), then the earlier offer.
+            let mut best = boundary;
+            if let Some(ts) = backup.first_shortfall(load, t, hi) {
+                offer(&mut best, (ts.max(t), 2, Pending::Shortfall));
+            }
+            let (unthrottle, fallback) =
+                self.locate_serving_events(backup, &transitions, &st.mode, load, t, hi, outage);
+            if let Some(tu) = unthrottle {
+                offer(&mut best, (tu, 0, Pending::Unthrottle));
+            }
+            if let Some(tf) = fallback {
+                offer(&mut best, (tf, 1, Pending::Fallback));
+            }
+            if matches!(st.mode, Mode::Crashed) {
+                // A sufficiently ramped DG lets a crashed cluster reboot
+                // mid-outage (NoUPS: "DG translates long outages into short
+                // ones").
+                let reboot_load = self.supply_load(
+                    &Mode::Recovering {
+                        remaining: Seconds::ZERO,
+                    },
+                    backup,
+                );
+                let ready = |tau| backup.available_power(tau) >= reboot_load;
+                if backup.dg().is_none() {
+                    // Without a DG the available power is the UPS's, which
+                    // does not move with τ, and the instantaneous check has
+                    // just found it short of the reboot load at `t`: no
+                    // instant of the window can reboot.
+                    contract!(!ready(hi), "DG-less recovery predicate holds at {hi}");
+                } else if let Some(tr) = first_true(t, hi, ready) {
+                    offer(&mut best, (tr, 2, Pending::RecoveryReady));
+                }
+            }
+            let (when, _, what) = best;
+            fired[what.owner() as usize] += 1;
+            let end = when.min(outage).max(t);
+
+            // Commit the segment: one exact Peukert ramp draw, no steps.
+            if end > t {
+                let sustained = backup.supply_segment(load, t, end);
+                contract!(
+                    ((end - t) - sustained).value().abs() < 1e-3,
+                    "segment [{t}, {end}] not fully sustained: {sustained}"
+                );
+                let (rate, down) = self.mode_rates(&st.mode);
+                st.serving_integral += rate * (end - t).value();
+                if down {
+                    st.downtime += end - t;
+                }
+                let ended_by = match what {
+                    Pending::Unthrottle => SegmentEnd::DgCrossover,
+                    Pending::Fallback => SegmentEnd::HybridFallback,
+                    Pending::Shortfall => match backup.ups() {
+                        Some(u) if u.is_depleted() => SegmentEnd::BatteryDepleted,
+                        _ => SegmentEnd::SupplyOverload,
+                    },
+                    Pending::Pause => SegmentEnd::MigrationPause,
+                    Pending::TimerDone => SegmentEnd::TimerExpired,
+                    Pending::RecoveryReady => SegmentEnd::RecoveryPower,
+                    Pending::End => SegmentEnd::OutageEnd,
+                };
+                segments.push(Segment {
+                    start: t,
+                    end,
+                    load,
+                    throughput: rate,
+                    in_downtime: down,
+                    ended_by,
+                });
+                if dcb_trace::enabled() {
+                    let start_us = dcb_trace::micros(t);
+                    let end_us = dcb_trace::micros(end);
+                    dcb_trace::complete(start_us, end_us.saturating_sub(start_us), t_root, || {
+                        dcb_trace::EventKind::SegmentCommit {
+                            end_cause: ended_by.as_str().to_owned(),
+                            load_mw: (load.value() * 1e3).round() as u64,
+                            throughput_pm: (rate * 1e3).round() as u64,
+                            in_downtime: down,
+                        }
+                    });
+                    if ended_by == SegmentEnd::BatteryDepleted {
+                        dcb_trace::instant(Some(end_us), t_root, || {
+                            dcb_trace::EventKind::BatteryDeplete
+                        });
+                    }
+                }
+                // Timers tick down by the committed span.
+                let elapsed = end - t;
+                match &mut st.mode {
+                    Mode::Migrating { remaining, .. }
+                    | Mode::EnteringSleep { remaining, .. }
+                    | Mode::Saving { remaining, .. }
+                    | Mode::Recovering { remaining } => *remaining -= elapsed,
+                    _ => {}
+                }
+            }
+            t = end;
+
+            // Fire the event's transition.
+            let before = st.mode.name();
+            match what {
+                Pending::End => {}
+                Pending::Pause => {
+                    // Pin the timer to the pause length exactly so the
+                    // copy→pause flip is not re-found a rounding error away.
+                    if let Mode::Migrating {
+                        remaining, pause, ..
+                    } = &mut st.mode
+                    {
+                        *remaining = *pause;
+                    }
+                }
+                Pending::TimerDone => {
+                    st.mode = match st.mode {
+                        Mode::Migrating { after, .. } => Mode::Serving {
+                            level: after,
+                            share: self.consolidated_share(),
+                        },
+                        Mode::EnteringSleep { .. } => self.sleep_target(),
+                        Mode::Saving { level, .. } => Mode::Hibernated {
+                            saved_throttled: level != ThrottleLevel::NONE,
+                        },
+                        Mode::Recovering { .. } => Mode::Serving {
+                            level: ThrottleLevel::NONE,
+                            share: Fraction::ONE,
+                        },
+                        other => other,
+                    };
+                }
+                Pending::Shortfall => self.apply_shortfall(&mut st),
+                Pending::Unthrottle => {
+                    if let Mode::Serving { share, .. } = st.mode {
+                        st.mode = Mode::Serving {
+                            level: ThrottleLevel::NONE,
+                            share,
+                        };
+                    }
+                }
+                Pending::Fallback => {
+                    if let Some(fb) = self.technique().fallback() {
+                        st.mode = self.fallback_mode(fb, &transitions);
+                    }
+                }
+                Pending::RecoveryReady => {
+                    st.crash_recovery_engaged = true;
+                    st.mode = Mode::Recovering {
+                        remaining: self.expected_recovery(),
+                    };
+                }
+            }
+            mode_changes += note_transition(before, &st.mode, t, t_root);
+        }
+
+        record_run(events, &fired);
+        dcb_telemetry::counter!("sim.kernel.mode_transitions").add(mode_changes);
+        self.finish_trajectory(outage, st, backup, &transitions, segments)
     }
 
-    /// Assembles, validates, and counts a finished trajectory — the
-    /// telemetry tail both kernel hosts share.
+    /// Assembles, validates, and counts a finished trajectory.
     pub(crate) fn finish_trajectory(
         &self,
         outage: Seconds,
@@ -417,6 +600,62 @@ impl OutageSim {
     }
 }
 
+/// Keeps the earlier of the best candidate so far and `candidate`: the
+/// earlier time wins, then the lower priority number; a full tie keeps
+/// the earlier offer.
+fn offer(best: &mut (Seconds, u8, Pending), candidate: (Seconds, u8, Pending)) {
+    if candidate.0 < best.0 || (candidate.0 <= best.0 && candidate.1 < best.1) {
+        *best = candidate;
+    }
+}
+
+/// Counts a change of mode name since `from` (1 or 0), and emits its
+/// technique-transition trace instant at `t`.
+fn note_transition(from: &'static str, mode: &Mode, t: Seconds, root: Option<u32>) -> u64 {
+    let to = mode.name();
+    if to == from {
+        return 0;
+    }
+    if dcb_trace::enabled() {
+        dcb_trace::instant(Some(dcb_trace::micros(t)), root, || {
+            dcb_trace::EventKind::TechniqueTransition {
+                from: from.to_owned(),
+                to: to.to_owned(),
+            }
+        });
+    }
+    1
+}
+
+/// Records one finished run: `engine.runs`, `engine.cycles` and its
+/// per-run histogram, and, while telemetry or the profiler records, the
+/// fires per owner as `engine.fired.<owner>` counters and `engine;<owner>`
+/// profiler frames. A cycle is one loop iteration; an owner that fired
+/// nothing registers no counter and opens no frame.
+fn record_run(cycles: u32, fired: &[u64; Owner::ALL.len()]) {
+    dcb_telemetry::counter!("engine.runs").incr();
+    dcb_telemetry::counter!("engine.cycles").add(u64::from(cycles));
+    dcb_telemetry::histogram!("engine.cycles_per_run").observe(u64::from(cycles));
+    if dcb_telemetry::enabled() {
+        for (owner, &n) in Owner::ALL.iter().zip(fired) {
+            if n > 0 {
+                owner.fired_counter().add(n);
+            }
+        }
+    }
+    if dcb_prof::enabled() {
+        // The per-owner sum equals `engine.cycles`, so the profile
+        // reconciles with telemetry exactly.
+        let _engine = dcb_prof::frame("engine");
+        for (owner, &n) in Owner::ALL.iter().zip(fired) {
+            if n > 0 {
+                let _owner = dcb_prof::frame(owner.name());
+                dcb_prof::record(dcb_prof::WorkKind::Cycles, n);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,21 +742,6 @@ mod tests {
                 cursor = seg.end;
             }
             assert!((cursor.value() - 45.0 * 60.0).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn pending_tokens_round_trip() {
-        for pending in [
-            Pending::Unthrottle,
-            Pending::Fallback,
-            Pending::Shortfall,
-            Pending::Pause,
-            Pending::TimerDone,
-            Pending::RecoveryReady,
-            Pending::End,
-        ] {
-            assert_eq!(Pending::from_token(pending.token()), pending);
         }
     }
 }

@@ -42,11 +42,9 @@
 #![warn(missing_docs)]
 
 mod cluster;
-mod components;
 mod datacenter;
 mod engine;
 mod kernel;
-mod legacy;
 mod outcome;
 mod segment;
 mod stepper;

@@ -2,7 +2,6 @@
 //! fuel-limited generator: the fuel runs out at `start_delay +
 //! fuel_runtime`, where `DieselGenerator::available_power` drops to zero,
 //! and a generator whose fuel runs out mid-ramp never reaches full power.
-//! Both kernel hosts emit the milestones, so both are checked.
 
 use dcb_power::{BackupConfig, BackupSystem, DieselGenerator, Ups};
 use dcb_sim::{Cluster, OutageSim, Technique};
@@ -13,7 +12,7 @@ use dcb_workload::Workload;
 /// The `(phase, µs)` of every `dg_ramp_phase` event one run of `outage`
 /// emits, on a full-size DG with 60 s of fuel (it starts at 25 s, would
 /// reach full power at 120 s, and stops at 85 s) beside a full UPS.
-fn milestones(outage: Seconds, legacy: bool) -> Vec<(String, Option<u64>)> {
+fn milestones(outage: Seconds) -> Vec<(String, Option<u64>)> {
     let sim = OutageSim::new(
         Cluster::rack(Workload::specjbb()),
         BackupConfig::max_perf(),
@@ -25,13 +24,7 @@ fn milestones(outage: Seconds, legacy: bool) -> Vec<(String, Option<u64>)> {
         Some(Ups::new(peak, Seconds::from_minutes(10.0))),
     );
     dcb_trace::set_enabled(true);
-    let (_, events) = dcb_trace::capture(|| {
-        if legacy {
-            sim.run_with_backup_trajectory_legacy(outage, &mut backup)
-        } else {
-            sim.run_with_backup_trajectory(outage, &mut backup)
-        }
-    });
+    let (_, events) = dcb_trace::capture(|| sim.run_with_backup_trajectory(outage, &mut backup));
     events
         .into_iter()
         .filter_map(|event| match event.kind {
@@ -47,22 +40,13 @@ fn at(phase: &str, seconds: u64) -> (String, Option<u64>) {
 
 #[test]
 fn fuel_runs_out_after_the_start_delay_and_before_full_power() {
-    for legacy in [false, true] {
-        assert_eq!(
-            milestones(Seconds::from_minutes(10.0), legacy),
-            vec![at("engine_start", 25), at("fuel_exhausted", 85)],
-            "legacy host: {legacy}"
-        );
-    }
+    assert_eq!(
+        milestones(Seconds::from_minutes(10.0)),
+        vec![at("engine_start", 25), at("fuel_exhausted", 85)]
+    );
 }
 
 #[test]
 fn an_outage_ending_before_the_fuel_runs_out_shows_no_exhaustion() {
-    for legacy in [false, true] {
-        assert_eq!(
-            milestones(Seconds::new(70.0), legacy),
-            vec![at("engine_start", 25)],
-            "legacy host: {legacy}"
-        );
-    }
+    assert_eq!(milestones(Seconds::new(70.0)), vec![at("engine_start", 25)]);
 }

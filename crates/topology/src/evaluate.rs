@@ -94,7 +94,7 @@ pub trait LeafEvaluator: Sync {
     fn evaluate(&self, run: &LeafRun, outage: Seconds) -> SimOutcome;
 }
 
-/// The default evaluator: one engine-hosted kernel run per leaf.
+/// The default evaluator: one outage-kernel run per leaf.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KernelEvaluator;
 

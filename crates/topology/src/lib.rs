@@ -23,8 +23,8 @@
 //!   [`LevelReport`]s and [`ResolveStats`].
 //! - [`evaluate`] — the leaf-evaluation seam: the planner emits
 //!   [`LeafRun`] descriptions and an injectable [`LeafEvaluator`] turns
-//!   them into outcomes ([`KernelEvaluator`], the engine-hosted kernel,
-//!   by default).
+//!   them into outcomes ([`KernelEvaluator`], the outage kernel, by
+//!   default).
 //! - [`parse_spec`] — a small text spec format for `repro topo`.
 //!
 //! A degenerate single-path topology ([`Topology::single_path`]) is

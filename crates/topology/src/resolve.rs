@@ -101,7 +101,7 @@ pub fn resolve_with(
 
 /// Resolves with an injected [`LeafEvaluator`]: the planner and stitcher
 /// run unchanged, but every distinct leaf class is evaluated through the
-/// given seam instead of the default engine-hosted kernel.
+/// given seam instead of the default outage kernel.
 ///
 /// # Errors
 ///
