@@ -15,11 +15,15 @@
 //!   trace's battery wear;
 //! * a fuel-limited DG, whose supply drops back to zero mid-outage: the
 //!   one phase boundary the Table-3 configurations never reach.
+//!
+//! The same cases fanned out over 1, 2 and 8 fleet workers must fold to
+//! the same digest: a run reads no thread state, and the pool returns
+//! results in input order.
 
-use dcb_fleet::StableHasher;
-use dcb_outage::OutageSampler;
+use dcb_fleet::{FleetPool, StableHasher};
+use dcb_outage::{OutageSampler, OutageTrace};
 use dcb_power::{BackupConfig, BackupSystem, DieselGenerator, Ups};
-use dcb_sim::{Cluster, OutageSim, SimOutcome, Technique, Trajectory};
+use dcb_sim::{Cluster, OutageSim, SimOutcome, Technique, TraceOutcome, Trajectory};
 use dcb_units::Seconds;
 use dcb_workload::Workload;
 
@@ -62,9 +66,30 @@ fn fold_trajectory(hasher: &mut StableHasher, trajectory: &Trajectory) {
     fold_outcome(hasher, &trajectory.outcome);
 }
 
-fn kernel_digest() -> (u128, usize) {
-    let mut hasher = StableHasher::new();
-    let mut cases = 0;
+/// One case of [`kernel_digest`], in fold order.
+enum Case {
+    /// One outage on a fully charged battery.
+    Run(OutageSim, Seconds),
+    /// A (configuration, technique) pair replayed over every sampled year.
+    Years(OutageSim),
+    /// One outage behind a fuel-limited DG of `dg_share` of the peak with
+    /// `fuel` seconds of fuel and a half-power, 15-minute UPS.
+    FuelLimited {
+        sim: OutageSim,
+        outage: Seconds,
+        dg_share: f64,
+        fuel: f64,
+    },
+}
+
+/// What one case folds into the digest.
+enum Folded {
+    Trajectory(Trajectory),
+    Years(Vec<TraceOutcome>),
+}
+
+fn cases() -> Vec<Case> {
+    let mut cases = Vec::new();
     let durations = [30.0, 190.0, 1_800.0, 7_200.0, 42_400.0].map(Seconds::new);
     for config in BackupConfig::table3() {
         for technique in Technique::extended_catalog() {
@@ -72,57 +97,99 @@ fn kernel_digest() -> (u128, usize) {
                 let sim =
                     OutageSim::new(Cluster::rack(workload), config.clone(), technique.clone());
                 for &outage in &durations {
-                    fold_trajectory(&mut hasher, &sim.run_trajectory(outage));
-                    cases += 1;
+                    cases.push(Case::Run(sim.clone(), outage));
                 }
             }
         }
     }
 
-    let years = OutageSampler::seeded(2014).sample_years(20);
-    let year = Seconds::from_hours(365.0 * 24.0);
     for config in BackupConfig::table3() {
         for technique in Technique::extended_catalog() {
-            let sim = OutageSim::new(
+            cases.push(Case::Years(OutageSim::new(
                 Cluster::rack(Workload::specjbb()),
                 config.clone(),
                 technique.clone(),
-            );
-            for trace in &years {
-                let outcome = sim.run_trace(trace, year);
-                hasher.write_u64(outcome.outcomes.len() as u64);
-                for o in &outcome.outcomes {
-                    fold_outcome(&mut hasher, o);
-                }
-                hasher.write_f64(outcome.battery_cycles);
-            }
-            cases += 1;
+            )));
         }
     }
 
-    // Fuel-limited DGs behind a half-power, 15-minute UPS. Sixty seconds
-    // of fuel run out mid-ramp (at 85 s); ten minutes run out after the
-    // DG took over (at 625 s). The 60 % DG never carries the full load,
-    // so its residual jumps back to the whole load when the fuel is gone.
+    // Sixty seconds of fuel run out mid-ramp (at 85 s); ten minutes run
+    // out after the DG took over (at 625 s). The 60 % DG never carries
+    // the full load, so its residual jumps back to the whole load when
+    // the fuel is gone.
     let cluster = Cluster::rack(Workload::specjbb());
-    let peak = cluster.peak_power();
     for (dg_share, fuel) in [(1.0, 60.0), (1.0, 600.0), (0.6, 60.0), (0.6, 600.0)] {
-        let fuel_limited = || {
-            BackupSystem::new(
-                Some(DieselGenerator::new(peak * dg_share).with_fuel_runtime(Seconds::new(fuel))),
-                Some(Ups::new(peak * 0.5, Seconds::from_minutes(15.0))),
-            )
-        };
         for technique in Technique::extended_catalog() {
             let sim = OutageSim::new(cluster, BackupConfig::max_perf(), technique);
             for outage in [190.0, 1_800.0, 7_200.0].map(Seconds::new) {
-                let trajectory = sim.run_with_backup_trajectory(outage, &mut fuel_limited());
-                fold_trajectory(&mut hasher, &trajectory);
-                cases += 1;
+                cases.push(Case::FuelLimited {
+                    sim: sim.clone(),
+                    outage,
+                    dg_share,
+                    fuel,
+                });
             }
         }
     }
-    (hasher.finish(), cases)
+    cases
+}
+
+fn run_case(case: &Case, years: &[OutageTrace]) -> Folded {
+    match case {
+        Case::Run(sim, outage) => Folded::Trajectory(sim.run_trajectory(*outage)),
+        Case::Years(sim) => {
+            let year = Seconds::from_hours(365.0 * 24.0);
+            Folded::Years(
+                years
+                    .iter()
+                    .map(|trace| sim.run_trace(trace, year))
+                    .collect(),
+            )
+        }
+        Case::FuelLimited {
+            sim,
+            outage,
+            dg_share,
+            fuel,
+        } => {
+            let peak = sim.cluster().peak_power();
+            let mut backup = BackupSystem::new(
+                Some(DieselGenerator::new(peak * *dg_share).with_fuel_runtime(Seconds::new(*fuel))),
+                Some(Ups::new(peak * 0.5, Seconds::from_minutes(15.0))),
+            );
+            Folded::Trajectory(sim.run_with_backup_trajectory(*outage, &mut backup))
+        }
+    }
+}
+
+fn fold(results: &[Folded]) -> u128 {
+    let mut hasher = StableHasher::new();
+    for result in results {
+        match result {
+            Folded::Trajectory(trajectory) => fold_trajectory(&mut hasher, trajectory),
+            Folded::Years(outcomes) => {
+                for outcome in outcomes {
+                    hasher.write_u64(outcome.outcomes.len() as u64);
+                    for o in &outcome.outcomes {
+                        fold_outcome(&mut hasher, o);
+                    }
+                    hasher.write_f64(outcome.battery_cycles);
+                }
+            }
+        }
+    }
+    hasher.finish()
+}
+
+fn years() -> Vec<OutageTrace> {
+    OutageSampler::seeded(2014).sample_years(20)
+}
+
+fn kernel_digest() -> (u128, usize) {
+    let cases = cases();
+    let years = years();
+    let results: Vec<Folded> = cases.iter().map(|case| run_case(case, &years)).collect();
+    (fold(&results), cases.len())
 }
 
 #[test]
@@ -130,4 +197,16 @@ fn kernel_matches_golden_digest() {
     let (digest, cases) = kernel_digest();
     assert_eq!(cases, CASES);
     assert_eq!(digest, GOLDEN, "digest {digest:#034x} over {cases} cases");
+}
+
+#[test]
+fn kernel_digest_is_the_same_on_every_thread_count() {
+    let cases = cases();
+    let years = years();
+    for threads in [1, 2, 8] {
+        let results =
+            FleetPool::with_threads(threads).run_all(&cases, |case| run_case(case, &years));
+        let digest = fold(&results);
+        assert_eq!(digest, GOLDEN, "digest {digest:#034x} on {threads} threads");
+    }
 }
