@@ -224,6 +224,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "segments cover")]
     fn validate_rejects_a_coverage_gap() {
+        // Forced on, so a release test run checks too.
+        dcb_units::contracts::force_enable();
         let mut t = sample();
         t.segments.pop();
         t.validate();
@@ -232,6 +234,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "throughput integral")]
     fn validate_rejects_a_wrong_throughput_integral() {
+        dcb_units::contracts::force_enable();
         let mut t = sample();
         t.segments[0].throughput = 0.5;
         t.validate();

@@ -52,7 +52,17 @@ fn env_requested() -> bool {
 /// builds when forced ([`force_enable`]) or requested via `DCB_CONTRACTS`.
 #[must_use]
 pub fn enabled() -> bool {
-    cfg!(debug_assertions) || FORCED.load(Ordering::Relaxed) || env_requested()
+    enable_rule(
+        cfg!(debug_assertions),
+        FORCED.load(Ordering::Relaxed),
+        env_requested(),
+    )
+}
+
+/// The rule behind [`enabled`], as a pure function of the build profile
+/// and the two requests.
+fn enable_rule(debug_build: bool, forced: bool, requested: bool) -> bool {
+    debug_build || forced || requested
 }
 
 /// Turns contract checking on for the rest of the process, regardless of
@@ -100,12 +110,19 @@ mod tests {
 
     #[test]
     fn debug_builds_check_by_default() {
-        // The test profile compiles with debug assertions on.
-        assert!(enabled());
+        // The rule itself, so the test means the same in either profile
+        // whatever order the other tests (one of which forces checking
+        // on for the whole process) run in.
+        assert!(enable_rule(true, false, false));
+        assert!(!enable_rule(false, false, false));
+        assert!(enable_rule(false, true, false));
+        assert!(enable_rule(false, false, true));
     }
 
     #[test]
     fn checks_are_counted() {
+        // Forced on, so a release test run counts too.
+        force_enable();
         let before = checked_count();
         contract!(1 + 1 == 2, "arithmetic broke");
         contract!(true, "tautology");
@@ -115,6 +132,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "spent 3 exceeds budget 2")]
     fn violations_panic_with_message() {
+        force_enable();
         let (spent, budget) = (3, 2);
         contract!(spent <= budget, "spent {spent} exceeds budget {budget}");
     }
