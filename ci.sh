@@ -22,6 +22,9 @@ cargo test -q
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "== cargo test -q --release --workspace (contracts off unless a test forces them on)"
+cargo test -q --release --workspace
+
 echo "== perfbench self-tests (benchmark build, output checks, exact count metrics)"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
@@ -31,17 +34,10 @@ cargo test -q --release -p dcb-topology --test differential
 echo "== topology aggregation proptests (explicit == collapsed, thread-invariant)"
 cargo test -q --release -p dcb-topology --test aggregation
 
-echo "== dcb-engine core (calendar/clock/locate units + determinism proptests)"
+echo "== dcb-engine (calendar, EventTime and locate units + calendar stable-sort proptest)"
 cargo test -q -p dcb-engine
 
-echo "== componentized kernel differential (engine vs legacy oracle, bit for bit, 120s budget)"
-comp_start=$(date +%s)
-cargo test -q --release -p dcb-sim --test componentized
-comp_end=$(date +%s)
-comp_elapsed=$((comp_end - comp_start))
-test "$comp_elapsed" -le 120 || { echo "componentized differential took ${comp_elapsed}s (> 120s budget)"; exit 1; }
-
-echo "== golden digests (kernel trajectories, sizing search, the §7 adaptive controller and its stepped oracle, repro all output and the three observability outputs, bit for bit)"
+echo "== golden digests (kernel trajectories, also fanned out over 1, 2 and 8 fleet threads, sizing search, the §7 adaptive controller and its stepped oracle, repro all output and the three observability outputs, bit for bit)"
 cargo test -q --release -p dcb-sim --test kernel_golden
 cargo test -q --release -p dcb-core --test sizing_golden
 cargo test -q --release -p dcb-core --lib -- sizing::tests::pruned_search sizing::tests::ups_cost_never_decreases_with_runtime

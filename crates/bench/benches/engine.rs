@@ -20,9 +20,11 @@ use std::path::Path;
 use std::time::Instant;
 
 /// Implementation generation stamped into every report and history line.
-/// `engine-v2` is the componentized `dcb-engine` kernel; entries without a
-/// tag predate the extraction and ran the monolithic event loop.
-const BENCH_TAG: &str = "engine-v2";
+/// `engine-v3` runs the kernel as a segment loop and the stepper as a
+/// plain fixed-step loop; `engine-v2` ran both on the `dcb-engine`
+/// component core, so its ratios are not comparable; entries without a
+/// tag predate that core and ran the monolithic event loop.
+const BENCH_TAG: &str = "engine-v3";
 
 /// One (simulator, outage duration) pair to run both ways.
 struct Scenario {
