@@ -37,11 +37,11 @@ use dcb_units::{contract, Fraction, Seconds, Watts};
 
 /// Event budget per outage. Real trajectories resolve in well under a
 /// hundred events; the cap is a modeling-bug backstop, not a tuning knob.
-pub(crate) const MAX_EVENTS: u32 = 10_000;
+const MAX_EVENTS: u32 = 10_000;
 
 /// The per-end-cause telemetry counter for a committed segment. The match
 /// keeps each name at a fixed call site so the `counter!` cache applies.
-pub(crate) fn segment_end_counter(end: SegmentEnd) -> &'static dcb_telemetry::Counter {
+fn segment_end_counter(end: SegmentEnd) -> &'static dcb_telemetry::Counter {
     match end {
         SegmentEnd::OutageEnd => dcb_telemetry::counter!("sim.kernel.end.outage_end"),
         SegmentEnd::TimerExpired => dcb_telemetry::counter!("sim.kernel.end.timer_expired"),
@@ -60,7 +60,7 @@ pub(crate) fn segment_end_counter(end: SegmentEnd) -> &'static dcb_telemetry::Co
 /// exhaustion at `start_delay + fuel_runtime`, where the DG model runs the
 /// fuel out. The loop emits them up front: they are a pure function of
 /// time.
-pub(crate) fn trace_dg_milestones(backup: &BackupSystem, outage: Seconds, root: Option<u32>) {
+fn trace_dg_milestones(backup: &BackupSystem, outage: Seconds, root: Option<u32>) {
     let Some(dg) = backup.dg() else {
         return;
     };
@@ -89,7 +89,7 @@ pub(crate) fn trace_dg_milestones(backup: &BackupSystem, outage: Seconds, root: 
 /// `engine.fired.<owner>` counters and `engine;<owner>` profiler frames a
 /// run records (OBSERVABILITY.md).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Owner {
+enum Owner {
     TechniqueController,
     BatteryPack,
     DgRamp,
@@ -97,14 +97,14 @@ pub(crate) enum Owner {
 
 impl Owner {
     /// Every owner, in recording order.
-    pub(crate) const ALL: [Owner; 3] = [
+    const ALL: [Owner; 3] = [
         Owner::TechniqueController,
         Owner::BatteryPack,
         Owner::DgRamp,
     ];
 
     /// The owner's name in counters and profiler frames.
-    pub(crate) const fn name(self) -> &'static str {
+    const fn name(self) -> &'static str {
         match self {
             Owner::TechniqueController => "technique-controller",
             Owner::BatteryPack => "battery-pack",
@@ -115,7 +115,7 @@ impl Owner {
     /// The owner's fired-event counter, `engine.fired.<owner>`. The match
     /// keeps each name at a fixed call site so the `counter!` cache
     /// applies.
-    pub(crate) fn fired_counter(self) -> &'static dcb_telemetry::Counter {
+    fn fired_counter(self) -> &'static dcb_telemetry::Counter {
         match self {
             Owner::TechniqueController => {
                 dcb_telemetry::counter!("engine.fired.technique-controller")
@@ -128,7 +128,7 @@ impl Owner {
 
 /// What ends the segment under construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Pending {
+enum Pending {
     /// Restore full speed: the DG now carries the unthrottled load.
     Unthrottle,
     /// Latest safe instant to enter the hybrid fallback.
@@ -147,7 +147,7 @@ pub(crate) enum Pending {
 
 impl Pending {
     /// The part of the model whose rule fires this event.
-    pub(crate) const fn owner(self) -> Owner {
+    const fn owner(self) -> Owner {
         match self {
             Pending::Shortfall => Owner::BatteryPack,
             Pending::RecoveryReady => Owner::DgRamp,
@@ -419,7 +419,7 @@ impl OutageSim {
     }
 
     /// Assembles, validates, and counts a finished trajectory.
-    pub(crate) fn finish_trajectory(
+    fn finish_trajectory(
         &self,
         outage: Seconds,
         st: RunState,
@@ -452,7 +452,7 @@ impl OutageSim {
     /// Zero-duration transitions checked at the current instant, in the
     /// stepper's per-step order: unthrottle, hybrid fallback, crash
     /// recovery.
-    pub(crate) fn apply_instantaneous(
+    fn apply_instantaneous(
         &self,
         st: &mut RunState,
         backup: &BackupSystem,
@@ -495,7 +495,7 @@ impl OutageSim {
 
     /// The stepper's supply-failure transition, fired at the exact
     /// shortfall instant.
-    pub(crate) fn apply_shortfall(&self, st: &mut RunState) {
+    fn apply_shortfall(&self, st: &mut RunState) {
         match st.mode {
             Mode::Hibernated { .. } | Mode::Crashed | Mode::NvdimmPersisted => {
                 // Zero-load modes cannot actually get here, but be safe:
@@ -540,7 +540,7 @@ impl OutageSim {
     /// same floating-point operations as projecting the backup system to τ
     /// and asking it afresh, so every root is unchanged to the bit.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn locate_serving_events(
+    fn locate_serving_events(
         &self,
         backup: &BackupSystem,
         transitions: &TransitionTimes,
