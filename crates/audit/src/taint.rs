@@ -148,9 +148,9 @@ fn sink_kind(f: &FnDef) -> Option<&'static str> {
             Some("telemetry-snapshot")
         }
         "trace" if matches!(n, "encode" | "export" | "render" | "tally") => Some("trace-encode"),
-        // The engine's calendar orders the whole simulation: tainted data
-        // in a posted time, class, or token reorders events across runs.
-        "engine" if matches!(n, "post" | "wake_at") => Some("engine-calendar"),
+        // The calendar orders whatever posts to it: tainted data in a
+        // posted time, class, or token reorders events across runs.
+        "engine" if n == "post" => Some("engine-calendar"),
         // The root-finder's sample grid is a pure function of its inputs;
         // tainted bounds or predicates move the located root.
         "engine" if n == "first_true" => Some("engine-locate"),

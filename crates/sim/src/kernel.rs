@@ -24,8 +24,7 @@
 //! sample grid is a pure function of its bracket, so this code order is
 //! what keeps every located root, and every value computed from it,
 //! bit-stable (DESIGN.md §14). A run records the `engine.*` counters and
-//! profiler frames under the names they have always had
-//! (OBSERVABILITY.md).
+//! profiler frames listed in OBSERVABILITY.md.
 
 use crate::engine::{Mode, OutageSim, RunState};
 use crate::segment::{Segment, SegmentEnd, Trajectory};
