@@ -87,7 +87,7 @@ fn trace_dg_milestones(backup: &BackupSystem, outage: Seconds, root: Option<u32>
 /// shortfall rule, or the DG ramp's crash recovery. The names are the
 /// `engine.fired.<owner>` counters and `engine;<owner>` profiler frames a
 /// run records (OBSERVABILITY.md).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 enum Owner {
     TechniqueController,
     BatteryPack,
