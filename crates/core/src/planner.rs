@@ -161,32 +161,6 @@ pub fn plan(sections: &[(Cluster, Slo)], catalog: &[Technique]) -> Plan {
     }
 }
 
-/// Materializes a plan into a simulatable [`dcb_sim::Datacenter`]:
-/// satisfied sections carry their sized configuration and chosen technique;
-/// unsatisfiable sections fall back to today's MaxPerf + ride-through.
-///
-/// # Panics
-///
-/// Panics if `sections` and `plan` have different lengths (the plan must
-/// come from these sections).
-#[must_use]
-pub fn to_datacenter(sections: &[(Cluster, Slo)], plan: &Plan) -> dcb_sim::Datacenter {
-    assert_eq!(
-        sections.len(),
-        plan.entries.len(),
-        "plan does not match the section list"
-    );
-    let mut dc = dcb_sim::Datacenter::new();
-    for ((cluster, _), entry) in sections.iter().zip(&plan.entries) {
-        let (config, technique) = match (&entry.point, &entry.chosen_technique) {
-            (Some(point), Some(technique)) => (point.config.clone(), technique.clone()),
-            _ => (BackupConfig::max_perf(), Technique::ride_through()),
-        };
-        dc = dc.with_section(entry.workload.clone(), *cluster, config, technique);
-    }
-    dc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,29 +216,6 @@ mod tests {
         let entry = plan_section(&cluster, &slo, &small_catalog());
         assert!(entry.point.is_none());
         assert_eq!(entry.yearly_cost, entry.max_perf_cost);
-    }
-
-    #[test]
-    fn plan_materializes_into_a_working_datacenter() {
-        let sections = vec![
-            (
-                Cluster::rack(Workload::web_search()),
-                Slo::survive(Seconds::from_minutes(20.0)).with_min_perf(0.4),
-            ),
-            (
-                Cluster::rack(Workload::memcached()),
-                Slo::survive(Seconds::from_minutes(20.0)),
-            ),
-        ];
-        let the_plan = plan(&sections, &small_catalog());
-        let dc = to_datacenter(&sections, &the_plan);
-        // The planned datacenter must honor every SLO under the planned
-        // outage.
-        let outcome = dc.run(Seconds::from_minutes(20.0));
-        assert!(outcome.all_feasible);
-        assert_eq!(outcome.sections_losing_state, 0);
-        // The web-search section keeps serving at >= its SLO floor.
-        assert!(outcome.sections[0].1.perf_during_outage.value() >= 0.4);
     }
 
     #[test]

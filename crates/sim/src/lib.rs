@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 mod cluster;
-mod datacenter;
 mod engine;
 mod kernel;
 mod outcome;
@@ -52,7 +51,6 @@ mod technique;
 mod trace;
 
 pub use cluster::Cluster;
-pub use datacenter::{Datacenter, DatacenterOutcome, Section};
 /// The located-event root finder the kernel runs, for callers that locate
 /// their own events (the §7 controller in `dcb-core`).
 pub use dcb_engine::locate::first_true;

@@ -1,6 +1,8 @@
 //! Differential guarantee: a degenerate single-path topology is the flat
 //! kernel scenario, and its resolved aggregate must match
-//! [`OutageSim::run`] **bit-for-bit** — every field, every float.
+//! [`OutageSim::run`] **bit-for-bit** — every field, every float. A
+//! sectioned facility (§7: each section under its own backup) resolves
+//! as one independent kernel run per section.
 //!
 //! Mirrors the harness shape of `crates/sim/tests/differential.rs`: an
 //! exhaustive sweep over the Table-3 configuration grid × the extended
@@ -8,9 +10,10 @@
 //! over randomly drawn grid points and durations.
 
 use dcb_power::BackupConfig;
+use dcb_server::ServerSpec;
 use dcb_sim::{Cluster, OutageSim, Technique};
-use dcb_topology::{resolve, resolve_flat, Topology};
-use dcb_units::Seconds;
+use dcb_topology::{resolve, resolve_flat, Consumer, Level, Node, Topology};
+use dcb_units::{Seconds, WattHours, Watts};
 use dcb_workload::Workload;
 use proptest::prelude::*;
 
@@ -87,6 +90,100 @@ fn single_path_flat_resolution_is_also_exact() {
         let outcome = resolve_flat(&topology, outage).expect("resolves");
         assert_eq!(outcome.aggregate, expected);
     }
+}
+
+/// A sectioned facility: a root without backup over one cluster-level
+/// consumer per section, each provisioning its own backup.
+fn sectioned(sections: &[(Cluster, BackupConfig, Technique)]) -> Topology {
+    let children = sections
+        .iter()
+        .enumerate()
+        .map(|(i, (cluster, config, technique))| {
+            Node::consumer(
+                format!("section-{i}"),
+                Level::Cluster,
+                Consumer::new(*cluster, technique.clone()),
+            )
+            .with_backup(config.clone())
+        })
+        .collect();
+    Topology::new(Node::group("dc", Level::Datacenter, children))
+}
+
+/// Independent sections resolve as independent kernel runs. Over Table 3
+/// × the catalog × the Figure 5/6 durations, three heterogeneous sections
+/// (sizes, workloads, and rotated configurations and techniques) fold into
+/// the aggregate as separate [`OutageSim::run`]s: performance weighted by
+/// nameplate peak, the worst expected downtime and the summed energy,
+/// feasible only if every section is, state lost if any section lost it.
+#[test]
+fn independent_sections_resolve_as_independent_kernel_runs() {
+    let configs = BackupConfig::table3();
+    let catalog = Technique::catalog();
+    let spec = ServerSpec::paper_testbed();
+    let clusters = [
+        Cluster::new(16, spec, Workload::web_search()),
+        Cluster::new(8, spec, Workload::memcached()),
+        Cluster::new(32, spec, Workload::spec_cpu()),
+    ];
+    let mut facilities = 0u32;
+    for c in 0..configs.len() {
+        for t in 0..catalog.len() {
+            let sections: Vec<_> = clusters
+                .iter()
+                .enumerate()
+                .map(|(k, cluster)| {
+                    (
+                        *cluster,
+                        configs[(c + k) % configs.len()].clone(),
+                        catalog[(t + k) % catalog.len()].clone(),
+                    )
+                })
+                .collect();
+            let topology = sectioned(&sections);
+            let total: Watts = clusters.iter().map(Cluster::peak_power).sum();
+            for minutes in [0.5, 5.0, 30.0, 60.0, 120.0] {
+                let outage = Seconds::from_minutes(minutes);
+                let mut perf = 0.0;
+                let mut worst = Seconds::ZERO;
+                let mut energy = WattHours::ZERO;
+                let mut feasible = true;
+                let mut state_lost = false;
+                for (cluster, config, technique) in &sections {
+                    let run =
+                        OutageSim::new(*cluster, config.clone(), technique.clone()).run(outage);
+                    perf += run.perf_during_outage.value() * (cluster.peak_power() / total);
+                    worst = worst.max(run.downtime.expected);
+                    energy += run.energy;
+                    feasible &= run.feasible;
+                    state_lost |= run.state_lost;
+                }
+                let aggregate = resolve(&topology, outage)
+                    .expect("a sectioned facility resolves")
+                    .aggregate;
+                let at = format!("config {c} technique {t} outage {minutes} min");
+                assert!(
+                    (aggregate.perf_during_outage.value() - perf).abs() <= 1e-12,
+                    "{at}: perf {} vs {perf}",
+                    aggregate.perf_during_outage.value()
+                );
+                assert_eq!(
+                    aggregate.downtime.expected.value().to_bits(),
+                    worst.value().to_bits(),
+                    "{at}: worst downtime"
+                );
+                assert_eq!(
+                    aggregate.energy.value().to_bits(),
+                    energy.value().to_bits(),
+                    "{at}: energy"
+                );
+                assert_eq!(aggregate.feasible, feasible, "{at}: feasible");
+                assert_eq!(aggregate.state_lost, state_lost, "{at}: state lost");
+                facilities += 1;
+            }
+        }
+    }
+    assert_eq!(facilities, 9 * 13 * 5, "the sweep must cover the full grid");
 }
 
 proptest! {

@@ -7,9 +7,10 @@
 //! cargo run --release --example capacity_planner
 //! ```
 
-use dcbackup::core::planner::{plan, to_datacenter, Slo};
+use dcbackup::core::planner::{plan, Slo};
 use dcbackup::core::tco::TcoModel;
-use dcbackup::core::{Cluster, Technique};
+use dcbackup::core::{BackupConfig, Cluster, Technique};
+use dcbackup::topology::{resolve, Consumer, Level, Node, Topology};
 use dcbackup::units::Seconds;
 use dcbackup::workload::Workload;
 
@@ -73,21 +74,45 @@ fn main() {
         plan.savings_fraction() * 100.0,
     );
 
-    // Close the loop: materialize the plan into a datacenter and hit it
-    // with the planned outage to verify every SLO end to end.
-    let dc = to_datacenter(&sections, &plan);
-    let outcome = dc.run(dcbackup::units::Seconds::from_minutes(30.0));
+    // Close the loop: build the planned facility as a topology — one
+    // cluster per section under its own backup, unsatisfiable sections on
+    // today's MaxPerf + ride-through — and hit it with the planned outage
+    // to verify every SLO end to end.
+    let clusters = sections
+        .iter()
+        .zip(&plan.entries)
+        .map(|((cluster, _), entry)| {
+            let (config, technique) = match (&entry.point, &entry.chosen_technique) {
+                (Some(point), Some(technique)) => (point.config.clone(), technique.clone()),
+                _ => (BackupConfig::max_perf(), Technique::ride_through()),
+            };
+            Node::consumer(
+                entry.workload.clone(),
+                Level::Cluster,
+                Consumer::new(*cluster, technique),
+            )
+            .with_backup(config)
+        })
+        .collect();
+    let facility = Topology::new(Node::group("dc", Level::Datacenter, clusters));
+    let outcome = resolve(&facility, Seconds::from_minutes(30.0))
+        .expect("the planned facility is a valid topology")
+        .aggregate;
     println!(
         "verification: 30-min outage on the planned facility → facility perf {:.0}%,\n\
-         worst section downtime {:.1} min, {} feasible, {} state losses\n",
+         worst section downtime {:.1} min, {} feasible, {}\n",
         outcome.perf_during_outage.to_percent(),
-        outcome.worst_downtime.to_minutes(),
-        if outcome.all_feasible {
+        outcome.downtime.expected.to_minutes(),
+        if outcome.feasible {
             "all sections"
         } else {
             "NOT all sections"
         },
-        outcome.sections_losing_state,
+        if outcome.state_lost {
+            "state lost"
+        } else {
+            "no state lost"
+        },
     );
 
     // Should the organization skip DGs at all? Figure 10's break-even.

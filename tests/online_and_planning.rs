@@ -4,8 +4,9 @@
 use dcbackup::core::online::AdaptiveController;
 use dcbackup::core::planner::{plan, Slo};
 use dcbackup::core::tco::TcoModel;
-use dcbackup::core::{BackupConfig, Cluster, Technique};
+use dcbackup::core::{BackupConfig, Cluster, OutageSim, Technique};
 use dcbackup::outage::{DurationDistribution, DurationPredictor, OutageSampler};
+use dcbackup::topology::{resolve, Consumer, Level, Node, Topology};
 use dcbackup::units::Seconds;
 use dcbackup::workload::Workload;
 
@@ -124,6 +125,60 @@ fn plan_composes_sizing_and_cost_consistently() {
         assert!(point.performability.outcome.feasible);
         assert!(!point.performability.outcome.state_lost);
     }
+}
+
+#[test]
+fn planned_facility_honours_every_slo() {
+    let sections = vec![
+        (
+            Cluster::rack(Workload::web_search()),
+            Slo::survive(Seconds::from_minutes(20.0)).with_min_perf(0.4),
+        ),
+        (
+            Cluster::rack(Workload::memcached()),
+            Slo::survive(Seconds::from_minutes(20.0)),
+        ),
+    ];
+    let catalog = [
+        Technique::ride_through(),
+        Technique::throttle_deepest(),
+        Technique::sleep_l(),
+    ];
+    let plan = plan(&sections, &catalog);
+    // The planned facility: a root without backup over one cluster per
+    // section, each under the backup and technique its plan entry chose.
+    let chosen: Vec<_> = sections
+        .iter()
+        .zip(&plan.entries)
+        .map(|((cluster, _), entry)| {
+            let point = entry.point.as_ref().expect("every section is satisfiable");
+            let technique = entry.chosen_technique.clone().expect("a chosen technique");
+            (*cluster, point.config.clone(), technique)
+        })
+        .collect();
+    let clusters = chosen
+        .iter()
+        .map(|(cluster, config, technique)| {
+            Node::consumer(
+                cluster.workload().kind().to_string(),
+                Level::Cluster,
+                Consumer::new(*cluster, technique.clone()),
+            )
+            .with_backup(config.clone())
+        })
+        .collect();
+    let facility = Topology::new(Node::group("dc", Level::Datacenter, clusters));
+    // The planned facility must honour every SLO under the planned outage.
+    let outage = Seconds::from_minutes(20.0);
+    let outcome = resolve(&facility, outage)
+        .expect("valid topology")
+        .aggregate;
+    assert!(outcome.feasible);
+    assert!(!outcome.state_lost);
+    // The web-search section keeps serving at >= its SLO floor.
+    let (cluster, config, technique) = chosen[0].clone();
+    let web_search = OutageSim::new(cluster, config, technique).run(outage);
+    assert!(web_search.perf_during_outage.value() >= 0.4);
 }
 
 #[test]
