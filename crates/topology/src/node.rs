@@ -7,7 +7,7 @@
 //! generator and UPS battery described by a [`BackupConfig`] — attaches to
 //! exactly one node on every root-to-leaf path; the edge feeding a node
 //! from its parent may carry a capacity limit, which is what creates
-//! deficits during an outage (see [`crate::resolve`]).
+//! deficits during an outage (see [`mod@crate::resolve`]).
 //!
 //! Identical sibling subtrees are represented once with a `multiplicity`
 //! count instead of being repeated — the representation the aggregated

@@ -5,7 +5,7 @@
 //! performability, and TCO numbers — so a silent conservation or bounds
 //! violation (a battery delivering more energy than it holds, a probability
 //! leaving `[0, 1]`, a negative cost) would corrupt every figure without
-//! failing a single test. The model crates thread [`contract!`] checks
+//! failing a single test. The model crates thread [`contract!`](crate::contract) checks
 //! through their hot paths:
 //!
 //! * `dcb-battery` — energy conservation and state-of-charge bounds on
