@@ -7,8 +7,6 @@
 //! inside `#[cfg(test)] mod` regions, and collects the inline
 //! `// dcb-audit: allow(<lint>, reason)` suppression directives.
 
-use std::collections::BTreeMap;
-
 /// One lexical token with its source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
@@ -105,15 +103,6 @@ impl ScannedFile {
         self.allows
             .iter()
             .any(|a| a.lint == lint && a.line <= line && line <= a.end_line)
-    }
-
-    /// Suppressions grouped per line (used by the report's `--json` mode).
-    pub fn allows_by_line(&self) -> BTreeMap<u32, Vec<&AllowDirective>> {
-        let mut map: BTreeMap<u32, Vec<&AllowDirective>> = BTreeMap::new();
-        for a in &self.allows {
-            map.entry(a.line).or_default().push(a);
-        }
-        map
     }
 }
 
@@ -607,7 +596,7 @@ mod tests {
         assert!(scanned.allowed("float-cmp", 1));
         assert!(scanned.allowed("float-cmp", 2));
         assert!(!scanned.allowed("float-cmp", 3));
-        assert!(!scanned.allowed("panic-site", 2));
+        assert!(!scanned.allowed("unit-leak", 2));
     }
 
     #[test]

@@ -4,14 +4,16 @@
 //!
 //! 1. **Static lints** ([`lints`]): a hand-rolled token scanner
 //!    ([`lexer`]) walks every workspace source file ([`walk`]) and
-//!    enforces the repo's modelling discipline — no raw `f64`
-//!    power/energy/money outside `crates/units` (`unit-leak`), no exact
-//!    float comparisons (`float-cmp`), no nondeterministic containers,
-//!    wall-clock reads, or ad-hoc threads in result paths
-//!    (`hash-container`, `time-source`, `thread-spawn`), and no panicking
-//!    shortcuts in library code (`panic-site`). Intentional sites carry an
-//!    inline `// dcb-audit: allow(<lint>, reason)` directive; a directive
-//!    directly above an item covers its whole body ([`parse`]).
+//!    enforces the modelling discipline neither rustc nor clippy can
+//!    express — no raw `f64` power/energy/money outside `crates/units`
+//!    (`unit-leak`), no exact float comparisons (`float-cmp`), no
+//!    fixed-step oracle in production paths (`stepped-sim`), and no
+//!    observability reads in model code (`observe-in-result`).
+//!    Intentional sites carry an inline `// dcb-audit: allow(<lint>,
+//!    reason)` directive; a directive directly above an item covers its
+//!    whole body ([`parse`]). Hash containers, wall-clock reads, ad-hoc
+//!    threads and panicking shortcuts are clippy's job: the root
+//!    `clippy.toml` and `ci.sh`'s clippy stages (DESIGN.md §8).
 //! 2. **Semantic passes** ([`graph`]): a token-tree parser ([`parse`])
 //!    recovers item structure, a workspace symbol table ([`symbols`])
 //!    and call graph ([`callgraph`]) link every crate, and two
@@ -32,7 +34,7 @@
 //!
 //! The `dcb-audit` binary fronts all of it: `check` (exit 1 on findings),
 //! `graph` (exit 1 on new findings vs the baseline), `lints` (print the
-//! rule matrix), `sweep` (exit 1 on violations), `docs` (exit 1 on
+//! rules), `sweep` (exit 1 on violations), `docs` (exit 1 on
 //! broken references).
 //!
 //! The analyzer holds itself to its own rules: no panicking paths (errors
@@ -133,9 +135,12 @@ mod tests {
             role: walk::Role::Library,
             crate_name: "x".to_owned(),
         };
-        let findings = check_source(&file, "fn grid_watts() -> f64 { x.unwrap() }");
+        let findings = check_source(
+            &file,
+            "fn grid_watts() -> f64 { if x == 1.0 { sim.run_stepped(d) } else { 0.0 } }",
+        );
         let lints: Vec<&str> = findings.iter().map(|f| f.lint).collect();
-        assert_eq!(lints, vec!["panic-site", "unit-leak"]);
+        assert_eq!(lints, vec!["float-cmp", "stepped-sim", "unit-leak"]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! dcb-audit check [--json] [--root <path>]   # static lints; exit 1 on findings
 //! dcb-audit graph [--json] [--baseline <p>] [--write-baseline] [--root <p>]
 //!                                            # call-graph passes; exit 1 on NEW findings
-//! dcb-audit lints                            # print the rule matrix
+//! dcb-audit lints                            # print the lints and their exempt crates
 //! dcb-audit sweep                            # contract replay; exit 1 on violations
 //! ```
 
@@ -127,25 +127,17 @@ fn cmd_graph(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_lints() -> ExitCode {
-    println!("{:<14} {:<24} {:<12} summary", "lint", "roles", "exempt");
+    println!("{:<18} {:<34} summary", "lint", "exempt");
     for spec in lints::all() {
-        let roles = spec
-            .roles
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("+");
         let exempt = if spec.exempt_crates.is_empty() {
             "-".to_owned()
         } else {
             spec.exempt_crates.join(",")
         };
-        println!(
-            "{:<14} {:<24} {:<12} {}",
-            spec.name, roles, exempt, spec.summary
-        );
+        println!("{:<18} {:<34} {}", spec.name, exempt, spec.summary);
     }
-    println!("\nsuppress an intentional site with `// dcb-audit: allow(<lint>, reason)` on or above the line");
+    println!("\nevery lint covers library and binary code outside #[cfg(test)]");
+    println!("suppress an intentional site with `// dcb-audit: allow(<lint>, reason)` on or above the line");
     ExitCode::SUCCESS
 }
 

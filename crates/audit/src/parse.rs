@@ -981,18 +981,18 @@ mod tests {
 
     #[test]
     fn allow_expansion_covers_whole_items() {
-        let src = "// dcb-audit: allow(panic-site, documented)\n\
+        let src = "// dcb-audit: allow(float-cmp, documented)\n\
                    #[must_use]\n\
-                   fn f() -> u32 {\n    x.unwrap();\n    y.unwrap()\n}\n\
-                   fn g() -> u32 { z.unwrap() }\n";
+                   fn f() -> bool {\n    let _ = x == 1.0;\n    y == 2.0\n}\n\
+                   fn g() -> bool { z == 3.0 }\n";
         let mut scanned = scan(src);
         let parsed = parse(&scanned.tokens);
         expand_allows(&parsed, &mut scanned.allows);
         // The directive covers all of f (lines 3-6)...
-        assert!(scanned.allowed("panic-site", 4));
-        assert!(scanned.allowed("panic-site", 5));
+        assert!(scanned.allowed("float-cmp", 4));
+        assert!(scanned.allowed("float-cmp", 5));
         // ...but not g.
-        assert!(!scanned.allowed("panic-site", 7));
+        assert!(!scanned.allowed("float-cmp", 7));
     }
 
     #[test]

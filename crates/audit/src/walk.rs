@@ -9,9 +9,9 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// What kind of compilation target a source file belongs to. The lint
-/// scope matrix keys off this: e.g. panic hygiene applies to libraries but
-/// not tests, and wall-clock reads are fine in benches.
+/// What kind of compilation target a source file belongs to. The lints
+/// cover library and binary code; the graph passes scope their sources
+/// and sinks by role too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Role {
     /// `src/*.rs` of a library crate.
@@ -25,19 +25,6 @@ pub enum Role {
     Bench,
     /// `examples/*.rs`.
     Example,
-}
-
-impl fmt::Display for Role {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Role::Library => "library",
-            Role::Binary => "binary",
-            Role::Test => "test",
-            Role::Bench => "bench",
-            Role::Example => "example",
-        };
-        f.write_str(s)
-    }
 }
 
 /// One source file scheduled for analysis.

@@ -1,20 +1,21 @@
 //! Fixture for item-granularity allow scoping: one directive above the fn
-//! covers the named lint through the whole body (the `HashMap` uses sit
-//! several lines below the directive), while other lints inside the same
-//! body still fire (the `Instant::now` read is NOT covered).
+//! covers the named lint through the whole body (the exact comparisons
+//! sit several lines below the directive), while other lints inside the
+//! same body still fire (the `run_stepped` call is NOT covered).
 
-// dcb-audit: allow(hash-container, fixture exercises item-wide suppression)
-pub fn tally(labels: &[&str]) -> Vec<(String, usize)> {
-    let mut counts: std::collections::HashMap<String, usize> = Default::default();
-    for label in labels {
-        *counts.entry((*label).to_owned()).or_insert(0) += 1;
+// dcb-audit: allow(float-cmp, fixture exercises item-wide suppression)
+pub fn sentinels(xs: &[f64], sim: &OutageSim, outage: Seconds) -> usize {
+    let mut zeros = 0;
+    for x in xs {
+        if *x == 0.0 {
+            zeros += 1;
+        }
     }
-    let started = std::time::Instant::now();
-    let _ = started;
-    counts.into_iter().collect()
+    let _ = sim.run_stepped(outage);
+    zeros + usize::from(xs.first().is_some_and(|x| *x != 1.0))
 }
 
-pub fn outside() {
+pub fn outside(x: f64) -> bool {
     // Below the allowed item: the directive must NOT reach here.
-    let _uncovered: Option<std::collections::HashMap<u8, u8>> = None;
+    x == 2.0
 }

@@ -1,8 +1,6 @@
 //! Fixture: every violation carries an `allow` directive, so the file is
 //! clean (0 expected findings).
 
-use std::collections::HashMap; // dcb-audit: allow(hash-container, fixture exercises suppression)
-
 pub struct Rack {
     // dcb-audit: allow(unit-leak, fixture exercises suppression)
     pub peak_watts: f64,
@@ -14,14 +12,10 @@ pub fn oracle_on_purpose(sim: &OutageSim, outage: Seconds) -> SimOutcome {
 }
 
 pub fn replay_on_purpose() -> usize {
-    // dcb-audit: allow(trace-in-result, fixture exercises suppression)
-    dcb_trace::drain().len()
+    dcb_trace::drain().len() // dcb-audit: allow(observe-in-result, fixture exercises suppression)
 }
 
-pub fn brittle(input: Option<u32>, x: f64) -> bool {
-    // dcb-audit: allow(panic-site, fixture exercises suppression)
-    let a = input.unwrap();
+pub fn brittle(x: f64) -> bool {
     // dcb-audit: allow(float-cmp, fixture exercises suppression)
-    let exact = x == 1.0;
-    a > 0 && exact
+    x == 1.0
 }

@@ -40,15 +40,8 @@ fn every_lint_class_is_detected() {
         ("unit_leak.rs", "unit-leak", 3),
         ("topology_unit_leak.rs", "unit-leak", 3),
         ("float_cmp.rs", "float-cmp", 3),
-        ("hash_container.rs", "hash-container", 2),
-        ("time_source.rs", "time-source", 2),
-        ("thread_spawn.rs", "thread-spawn", 2),
-        ("panic_site.rs", "panic-site", 4),
         ("stepped_sim.rs", "stepped-sim", 2),
-        ("kernel_internals.rs", "kernel-internals", 2),
-        ("telemetry_in_result.rs", "telemetry-in-result", 3),
-        ("trace_in_result.rs", "trace-in-result", 3),
-        ("prof_in_result.rs", "prof-in-result", 3),
+        ("observe_in_result.rs", "observe-in-result", 9),
     ] {
         let found = audit_fixture(fixture);
         assert_eq!(
@@ -66,99 +59,48 @@ fn every_lint_class_is_detected() {
 }
 
 #[test]
-fn telemetry_reads_fenced_but_recording_allowed() {
-    // The fixture mixes record sites (counter!, incr) with reads
-    // (snapshot(), report(), a Snapshot binding): exactly the reads fire.
-    let found = audit_fixture("telemetry_in_result.rs");
-    assert_eq!(count(&found, "telemetry-in-result"), 3, "found {found:?}");
-    // Recording alone is clean in model code.
+fn observability_reads_fenced_but_recording_allowed() {
+    // Per plane: recording alone is clean in model code, a read fires,
+    // and the report edges (bench) are exempt by crate.
     let file = SourceFile {
         path: PathBuf::from("crates/x/src/lib.rs"),
         rel: "crates/x/src/lib.rs".to_owned(),
         role: Role::Library,
         crate_name: "x".to_owned(),
     };
-    let recording_only = "pub fn f() {\n    dcb_telemetry::counter!(\"x.events\").incr();\n    let _s = dcb_telemetry::span(\"x\");\n}\n";
-    assert!(check_source(&file, recording_only).is_empty());
-    // The report edges (bench) are exempt by crate.
-    let mut bench_file = file;
-    bench_file.crate_name = "bench".to_owned();
-    let reads = "pub fn f() { let _ = dcb_telemetry::report(); }";
-    assert!(check_source(&bench_file, reads).is_empty());
-}
-
-#[test]
-fn trace_reads_fenced_but_recording_allowed() {
-    // The fixture mixes record sites (instant/complete/lane_scope) with
-    // reads (drain(), chrome::export, timeline::render): exactly the
-    // reads fire.
-    let found = audit_fixture("trace_in_result.rs");
-    assert_eq!(count(&found, "trace-in-result"), 3, "found {found:?}");
-    // Recording alone is clean in model code.
-    let file = SourceFile {
-        path: PathBuf::from("crates/x/src/lib.rs"),
-        rel: "crates/x/src/lib.rs".to_owned(),
-        role: Role::Library,
-        crate_name: "x".to_owned(),
-    };
-    let recording_only = "pub fn f(t: f64) {\n    if dcb_trace::enabled() {\n        dcb_trace::instant(Some(dcb_trace::micros(t)), None, || k());\n    }\n}\n";
-    assert!(check_source(&file, recording_only).is_empty());
-    // The report edges (bench) are exempt by crate.
-    let mut bench_file = file;
-    bench_file.crate_name = "bench".to_owned();
-    let reads = "pub fn f() { let _ = dcb_trace::chrome::export(&dcb_trace::drain()); }";
-    assert!(check_source(&bench_file, reads).is_empty());
-}
-
-#[test]
-fn prof_reads_fenced_but_recording_allowed() {
-    // The fixture mixes record sites (frame/record/handoff-enter) with
-    // reads (snapshot(), a Profile binding, collapsed::render): exactly
-    // the reads fire.
-    let found = audit_fixture("prof_in_result.rs");
-    assert_eq!(count(&found, "prof-in-result"), 3, "found {found:?}");
-    // Recording alone is clean in model code.
-    let file = SourceFile {
-        path: PathBuf::from("crates/x/src/lib.rs"),
-        rel: "crates/x/src/lib.rs".to_owned(),
-        role: Role::Library,
-        crate_name: "x".to_owned(),
-    };
-    let recording_only = "pub fn f() {\n    if dcb_prof::enabled() {\n        let _phase = dcb_prof::frame(\"f\");\n        dcb_prof::record(dcb_prof::WorkKind::Cycles, 1);\n    }\n}\n";
-    assert!(check_source(&file, recording_only).is_empty());
-    // The report edges (bench) are exempt by crate.
-    let mut bench_file = file;
-    bench_file.crate_name = "bench".to_owned();
-    let reads = "pub fn f() { let _ = dcb_prof::collapsed::render(&dcb_prof::snapshot()); }";
-    assert!(check_source(&bench_file, reads).is_empty());
+    for (recording_only, reads) in [
+        (
+            "pub fn f() {\n    dcb_telemetry::counter!(\"x.events\").incr();\n    let _s = dcb_telemetry::span(\"x\");\n}\n",
+            "pub fn f() { let _ = dcb_telemetry::report(); }",
+        ),
+        (
+            "pub fn f(t: f64) {\n    if dcb_trace::enabled() {\n        dcb_trace::instant(Some(dcb_trace::micros(t)), None, || k());\n    }\n}\n",
+            "pub fn f() { let _ = dcb_trace::chrome::export(&dcb_trace::drain()); }",
+        ),
+        (
+            "pub fn f() {\n    if dcb_prof::enabled() {\n        let _phase = dcb_prof::frame(\"f\");\n        dcb_prof::record(dcb_prof::WorkKind::Cycles, 1);\n    }\n}\n",
+            "pub fn f() { let _ = dcb_prof::collapsed::render(&dcb_prof::snapshot()); }",
+        ),
+    ] {
+        assert!(check_source(&file, recording_only).is_empty());
+        assert!(!check_source(&file, reads).is_empty());
+        let mut bench_file = file.clone();
+        bench_file.crate_name = "bench".to_owned();
+        assert!(check_source(&bench_file, reads).is_empty());
+    }
 }
 
 #[test]
 fn topology_crate_is_covered_by_the_core_lints() {
-    // The graph layer is model code: every determinism/unit lint the issue
-    // names must apply to `crates/topology` — no scope-matrix exemption.
-    let covered = [
-        "unit-leak",
-        "float-cmp",
-        "panic-site",
-        "time-source",
-        "telemetry-in-result",
-        "trace-in-result",
-        "prof-in-result",
-    ];
+    // The graph layer is model code: every lint must apply to
+    // `crates/topology` — no crate exemption.
     let specs = dcb_audit::lints::all();
-    for lint in covered {
-        let spec = specs
-            .iter()
-            .find(|s| s.name == lint)
-            .unwrap_or_else(|| panic!("lint {lint} missing from the registry"));
+    assert_eq!(specs.len(), 4);
+    for spec in &specs {
         assert!(
             !spec.exempt_crates.contains(&"topology"),
-            "{lint} must cover crates/topology"
-        );
-        assert!(
-            spec.roles.contains(&Role::Library),
-            "{lint} must apply to library code"
+            "{} must cover crates/topology",
+            spec.name
         );
     }
     // And concretely: seeded violations in a topology library file fire.
@@ -168,9 +110,9 @@ fn topology_crate_is_covered_by_the_core_lints() {
         role: Role::Library,
         crate_name: "topology".to_owned(),
     };
-    let seeded = "pub fn f(feed_watts: f64) {\n    let _ = feed_watts == 0.0;\n    let _ = dcb_trace::drain();\n    panic!(\"deficit\");\n}\n";
+    let seeded = "pub fn f(feed_watts: f64) {\n    let _ = feed_watts == 0.0;\n    let _ = dcb_trace::drain();\n    let _ = sim.run_stepped(d);\n}\n";
     let found: Vec<_> = check_source(&file, seeded).iter().map(|f| f.lint).collect();
-    for lint in ["unit-leak", "float-cmp", "trace-in-result", "panic-site"] {
+    for lint in specs.iter().map(|s| s.name) {
         assert_eq!(count(&found, lint), 1, "found {found:?}");
     }
 }
@@ -182,12 +124,12 @@ fn allow_directive_suppresses_every_class() {
 
 #[test]
 fn allow_above_an_item_covers_its_whole_body() {
-    // One directive above `tally` suppresses hash-container through the
-    // whole fn — but not other lints in the same body, and not mentions
-    // in the next item.
+    // One directive above `sentinels` suppresses float-cmp through the
+    // whole fn — but not other lints in the same body, and not
+    // comparisons in the next item.
     let found = audit_fixture("allow_item_scope.rs");
-    assert_eq!(count(&found, "hash-container"), 1, "found {found:?}");
-    assert_eq!(count(&found, "time-source"), 1, "found {found:?}");
+    assert_eq!(count(&found, "float-cmp"), 1, "found {found:?}");
+    assert_eq!(count(&found, "stepped-sim"), 1, "found {found:?}");
     assert_eq!(found.len(), 2, "found {found:?}");
 }
 
@@ -199,16 +141,18 @@ fn clean_code_stays_clean() {
 #[test]
 fn fixtures_are_role_scoped_out_as_tests() {
     // The same seeded violations audited as *test* code produce nothing:
-    // the scope matrix, not luck, keeps test files quiet.
-    let path = fixture_dir().join("panic_site.rs");
-    let source = std::fs::read_to_string(&path).expect("fixture unreadable");
-    let file = SourceFile {
-        path,
-        rel: "crates/fixture/tests/panic_site.rs".to_owned(),
-        role: Role::Test,
-        crate_name: "fixture".to_owned(),
-    };
-    assert!(check_source(&file, &source).is_empty());
+    // the lint scope, not luck, keeps test files quiet.
+    for name in ["float_cmp.rs", "stepped_sim.rs", "observe_in_result.rs"] {
+        let path = fixture_dir().join(name);
+        let source = std::fs::read_to_string(&path).expect("fixture unreadable");
+        let file = SourceFile {
+            path,
+            rel: format!("crates/fixture/tests/{name}"),
+            role: Role::Test,
+            crate_name: "fixture".to_owned(),
+        };
+        assert!(check_source(&file, &source).is_empty(), "{name}");
+    }
 }
 
 #[test]

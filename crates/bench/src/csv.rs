@@ -33,7 +33,10 @@ pub const WORKLOADS: [&str; 5] = ["specjbb", "websearch", "memcached", "speccpu"
 /// Panics on an unknown workload name (see [`WORKLOADS`]).
 #[must_use]
 pub fn fig5_csv(workload: &str) -> String {
-    // dcb-audit: allow(panic-site, precondition documented under `# Panics`)
+    #[expect(
+        clippy::expect_used,
+        reason = "precondition documented under `# Panics`"
+    )]
     let w = workload_by_name(workload).expect("unknown workload");
     let cluster = Cluster::rack(w);
     let catalog = Technique::catalog();
@@ -71,7 +74,10 @@ pub fn fig5_csv(workload: &str) -> String {
 /// Panics on an unknown workload name.
 #[must_use]
 pub fn fig6_csv(workload: &str) -> String {
-    // dcb-audit: allow(panic-site, precondition documented under `# Panics`)
+    #[expect(
+        clippy::expect_used,
+        reason = "precondition documented under `# Panics`"
+    )]
     let w = workload_by_name(workload).expect("unknown workload");
     let cluster = Cluster::rack(w);
     let mut out = String::from(

@@ -70,7 +70,10 @@ impl PeakShaving {
         target_outage: Seconds,
     ) -> DualUseDay {
         let system = config.instantiate(cluster.peak_power());
-        // dcb-audit: allow(panic-site, precondition documented under `# Panics`)
+        #[expect(
+            clippy::expect_used,
+            reason = "precondition documented under `# Panics`"
+        )]
         let ups = system.ups().expect("dual-use analysis needs a UPS");
         let pack = ups.pack();
         let mut battery = Battery::full(pack);

@@ -110,10 +110,11 @@ fn pick_best(points: &[Performability]) -> &Performability {
         let (cb, lb) = b.rank();
         ca.cmp(&cb).then_with(|| la.total_cmp(&lb)).is_le()
     };
-    let mut best = points
-        .first()
-        // dcb-audit: allow(panic-site, callers assert non-empty catalogs; documented `# Panics`)
-        .expect("technique catalog must not be empty");
+    #[expect(
+        clippy::expect_used,
+        reason = "callers assert non-empty catalogs; documented `# Panics`"
+    )]
+    let mut best = points.first().expect("technique catalog must not be empty");
     for point in &points[1..] {
         if !better(best, point) {
             best = point;

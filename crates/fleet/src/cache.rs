@@ -1,14 +1,20 @@
 //! The sharded memoization cache for evaluated scenarios.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// One shard's map: the workspace's one sanctioned hash container.
+#[expect(
+    clippy::disallowed_types,
+    reason = "key-addressed and never iterated, so the per-process hash seed never reaches a result"
+)]
+type ShardMap<V> = std::collections::HashMap<u128, V>;
 
 /// Locks a shard, recovering from poisoning: cached values are only ever
 /// written whole (a panicked writer leaves either the old map or the new
 /// entry, never a torn value), so the poison flag carries no information
 /// here and recovery is always safe.
-fn lock_shard<V>(shard: &Mutex<HashMap<u128, V>>) -> MutexGuard<'_, HashMap<u128, V>> {
+fn lock_shard<V>(shard: &Mutex<ShardMap<V>>) -> MutexGuard<'_, ShardMap<V>> {
     shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -32,7 +38,7 @@ fn lock_shard<V>(shard: &Mutex<HashMap<u128, V>>) -> MutexGuard<'_, HashMap<u128
 /// ```
 #[derive(Debug)]
 pub struct EvalCache<V> {
-    shards: Box<[Mutex<HashMap<u128, V>>]>,
+    shards: Box<[Mutex<ShardMap<V>>]>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -73,14 +79,14 @@ impl<V: Clone> EvalCache<V> {
     pub fn with_shards(shards: usize) -> Self {
         Self {
             shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(ShardMap::new()))
                 .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: u128) -> &Mutex<HashMap<u128, V>> {
+    fn shard(&self, key: u128) -> &Mutex<ShardMap<V>> {
         // The digest's low bits are well-mixed; fold in the high half anyway.
         let fold = (key as u64) ^ ((key >> 64) as u64);
         &self.shards[(fold as usize) % self.shards.len()]

@@ -103,6 +103,10 @@ impl FleetPool {
         dcb_telemetry::volatile_counter!("fleet.pool.batches").incr();
         dcb_telemetry::volatile_counter!("fleet.pool.workers_spawned").add(workers as u64);
         let mut harvested: Vec<(usize, R)> = Vec::with_capacity(items.len());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "dcb-fleet is the workspace's one sanctioned thread pool"
+        )]
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
@@ -124,7 +128,10 @@ impl FleetPool {
                 })
                 .collect();
             for handle in handles {
-                // dcb-audit: allow(panic-site, deliberate worker-panic propagation to the caller)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "deliberate worker-panic propagation to the caller"
+                )]
                 harvested.extend(handle.join().expect("fleet worker panicked"));
             }
         });

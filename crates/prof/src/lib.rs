@@ -42,7 +42,7 @@
 //! Model code may *record* ([`frame`], [`record`], [`handoff`],
 //! [`enter`]) but never read a profile back: [`snapshot`], [`reset`], and
 //! the [`collapsed`]/[`svg`] exporters are fenced to report edges by the
-//! `prof-in-result` audit lint (DESIGN.md §8).
+//! `observe-in-result` audit lint (DESIGN.md §8).
 //!
 //! ## Example
 //!

@@ -211,7 +211,7 @@ impl ProfNode {
 
 /// A canonical point-in-time copy of the attribution tree, produced by
 /// [`snapshot`]. This is the fenced read surface: only report edges may
-/// take one (`prof-in-result` lint).
+/// take one (`observe-in-result` lint).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Profile {
     /// The root node; its own weights hold work recorded outside any

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// Counters are obtained from the [`crate::Registry`] (usually via the
 /// [`crate::counter!`] macro) and live for the whole process; they are
-/// never read back by model code (fenced by the `telemetry-in-result`
+/// never read back by model code (fenced by the `observe-in-result`
 /// audit lint) — values leave the process only through a
 /// [`crate::Snapshot`].
 #[derive(Debug)]
@@ -48,7 +48,7 @@ impl Counter {
     }
 
     /// Test-only read of the raw value (kept out of the public snapshot
-    /// path so the `telemetry-in-result` lint surface stays minimal).
+    /// path so the `observe-in-result` lint surface stays minimal).
     #[cfg(test)]
     pub(crate) fn peek(&self) -> u64 {
         self.get()

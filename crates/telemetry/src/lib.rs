@@ -31,7 +31,7 @@
 //! Span *structure* (paths and call counts) is stable; span *wall times*
 //! are volatile and quarantined the same way. Telemetry state lives
 //! entirely outside result paths: nothing in the model layers may read a
-//! value back out of this crate (fenced by the `telemetry-in-result`
+//! value back out of this crate (fenced by the `observe-in-result`
 //! audit lint, DESIGN.md §8).
 //!
 //! ## Cost when disabled

@@ -54,7 +54,7 @@ pub fn registry() -> &'static Registry {
 
 /// Snapshots the global registry. Equivalent to
 /// [`registry()`](registry)`.snapshot()`; this free function is the
-/// canonical read surface the `telemetry-in-result` audit lint fences out
+/// canonical read surface the `observe-in-result` audit lint fences out
 /// of model code.
 #[must_use]
 pub fn snapshot() -> Snapshot {

@@ -1,7 +1,6 @@
 //! Hierarchical span timers with a thread-local span stack.
 
 use std::cell::RefCell;
-use std::time::Instant;
 
 thread_local! {
     /// The active span names on this thread, root first. Each thread has
@@ -34,21 +33,25 @@ pub fn span(name: &'static str) -> SpanGuard {
         stack.push(name);
         stack.join("/")
     });
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "the one sanctioned wall-clock read: span wall times are volatile-only and never enter result paths"
+    )]
+    let started = std::time::Instant::now();
     SpanGuard {
-        open: Some(OpenSpan {
-            path,
-            // The one sanctioned wall-clock read in the workspace (the
-            // telemetry crate is exempt from the time-source lint): span
-            // wall times are volatile-only and never enter result paths.
-            started: Instant::now(),
-        }),
+        open: Some(OpenSpan { path, started }),
     }
 }
 
 #[derive(Debug)]
 struct OpenSpan {
     path: String,
-    started: Instant,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "holds the one sanctioned wall-clock read (see `span`)"
+    )]
+    started: std::time::Instant,
 }
 
 /// Closes its span on drop. Returned by [`span`].

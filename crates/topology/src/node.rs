@@ -466,8 +466,11 @@ impl Topology {
     #[must_use]
     pub fn expand(&self) -> Topology {
         let mut copies = self.root.expand();
+        #[expect(
+            clippy::expect_used,
+            reason = "len() == 1 guarantees an element to pop"
+        )]
         let root = if copies.len() == 1 {
-            // dcb-audit: allow(panic-site, len()==1 guarantees a first element)
             copies.pop().expect("one expanded copy")
         } else {
             // A multiplicity > 1 root expands under a synthetic super-root.

@@ -10,7 +10,7 @@
 //! timestamps are monotone, which [`validate`] checks.
 //!
 //! Reading an exported trace back is a report-edge concern: this module
-//! is fenced out of model code by the `trace-in-result` audit lint.
+//! is fenced out of model code by the `observe-in-result` audit lint.
 
 use crate::event::{Event, EventKind};
 use crate::json;

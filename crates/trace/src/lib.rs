@@ -43,7 +43,7 @@
 //! Like telemetry, trace state lives outside result paths: model code may
 //! *record* (the free functions here) but never read events back —
 //! [`drain`], [`capture`], [`reset`], and the [`chrome`]/[`timeline`]
-//! exporters are fenced to report edges by the `trace-in-result` audit
+//! exporters are fenced to report edges by the `observe-in-result` audit
 //! lint (DESIGN.md §8).
 //!
 //! ## Example
@@ -265,7 +265,7 @@ pub fn micros(seconds: dcb_units::Seconds) -> u64 {
 }
 
 /// Takes every buffered event, sorted by `(lane, seq)`. A report-edge
-/// read: fenced out of model code by the `trace-in-result` audit lint.
+/// read: fenced out of model code by the `observe-in-result` audit lint.
 #[must_use]
 pub fn drain() -> Vec<Event> {
     ring::drain_all()
@@ -278,7 +278,7 @@ pub fn drain() -> Vec<Event> {
 ///
 /// With tracing disabled — or when called from inside another lane — `f`
 /// still runs, but the event list comes back empty. A report-edge read:
-/// fenced out of model code by the `trace-in-result` audit lint.
+/// fenced out of model code by the `observe-in-result` audit lint.
 pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<Event>) {
     let Some(base) = claim_lanes(1) else {
         return (f(), Vec::new());
@@ -298,7 +298,7 @@ pub fn dropped() -> u64 {
 
 /// Clears every buffer, the drop counter, the calling thread's lane
 /// state, and the batch allocator. A test/report edge helper — fenced out
-/// of model code by the `trace-in-result` audit lint.
+/// of model code by the `observe-in-result` audit lint.
 pub fn reset() {
     ring::clear();
     LANE.with(|lane| lane.set((ROOT_LANE, 0)));

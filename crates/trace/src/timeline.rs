@@ -6,7 +6,7 @@
 //! explain *why* each segment ended where it did.
 //!
 //! Rendering reads events back, so this module is a report edge: fenced
-//! out of model code by the `trace-in-result` audit lint.
+//! out of model code by the `observe-in-result` audit lint.
 
 use crate::event::{Event, EventKind};
 use dcb_units::{Seconds, WattHours, Watts};
