@@ -277,14 +277,6 @@ impl PackSpec {
             self.chemistry,
         )
     }
-
-    /// Returns a pack with additional energy modules so that its runtime at
-    /// rated power becomes `runtime` (the paper's "Additional battery
-    /// modules can be added to this base capacity").
-    #[must_use]
-    pub fn with_rated_runtime(self, runtime: Seconds) -> Self {
-        Self::new(self.rated_power, runtime, self.chemistry)
-    }
 }
 
 /// What a load ramp does to a state of charge

@@ -66,15 +66,6 @@ impl ConsolidationPlan {
     pub fn survivors(&self, servers: u32) -> u32 {
         servers.div_ceil(self.ratio)
     }
-
-    /// Fraction of the cluster still powered.
-    #[must_use]
-    pub fn surviving_fraction(&self, servers: u32) -> Fraction {
-        if servers == 0 {
-            return Fraction::ZERO;
-        }
-        Fraction::new(f64::from(self.survivors(servers)) / f64::from(servers))
-    }
 }
 
 impl Default for ConsolidationPlan {

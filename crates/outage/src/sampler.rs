@@ -15,16 +15,6 @@ pub struct Outage {
 }
 
 impl Outage {
-    /// Convenience constructor from a duration in minutes, starting at t=0.
-    /// Most evaluations study a single outage of a given length.
-    #[must_use]
-    pub fn of_minutes(minutes: f64) -> Self {
-        Self {
-            start: Seconds::ZERO,
-            duration: Seconds::from_minutes(minutes),
-        }
-    }
-
     /// The instant utility power returns.
     #[must_use]
     pub fn end(&self) -> Seconds {

@@ -86,17 +86,6 @@ impl UpsPlacement {
         }
     }
 
-    /// Electronics tare while discharging, as a fraction of the unit's
-    /// rating (feeds `OutageSim::with_tare_fraction`).
-    #[must_use]
-    pub fn discharge_tare(self) -> f64 {
-        match self {
-            UpsPlacement::Centralized => 0.02,
-            UpsPlacement::RackLevel => 0.005,
-            UpsPlacement::ServerLevel => 0.002,
-        }
-    }
-
     /// Failure-detection + switchover latency. Online designs are
     /// seamless; offline designs rely on the ~30 ms PSU ride-through.
     #[must_use]

@@ -135,13 +135,6 @@ impl OutageSim {
         }
     }
 
-    /// Overrides the migration model.
-    #[must_use]
-    pub fn with_migration(mut self, migration: MigrationModel) -> Self {
-        self.migration = migration;
-        self
-    }
-
     /// Overrides the consolidation plan.
     #[must_use]
     pub fn with_consolidation(mut self, consolidation: ConsolidationPlan) -> Self {

@@ -37,12 +37,6 @@ impl TraceOutcome {
         self.outcomes.iter().filter(|o| o.state_lost).count()
     }
 
-    /// Number of outages the technique failed to execute to plan.
-    #[must_use]
-    pub fn unplanned_crashes(&self) -> usize {
-        self.outcomes.iter().filter(|o| !o.feasible).count()
-    }
-
     /// Availability over the span: `1 − downtime/span` (clamped).
     #[must_use]
     pub fn availability(&self) -> Fraction {
