@@ -3,7 +3,13 @@
 //!
 //! 1. the Chrome trace of `repro fig5`;
 //! 2. the collapsed profile of `repro profile fig5 fig6 fig7 fig8 fig9`;
-//! 3. the stdout of `DCB_TELEMETRY=json repro fig5 fig6 fig7 fig8 fig9`.
+//! 3. the stdout of `DCB_TELEMETRY=json repro fig5 fig6 fig7 fig8 fig9`;
+//! 4. the Chrome trace of `repro all`, which records every kind of event
+//!    the paper pass records (ten of the twelve);
+//! 5. the stdout of `DCB_TRACE=timeline repro all`;
+//! 6. the Chrome trace of `repro topo` on `fixtures/capped_feed.topo`, a
+//!    facility whose capped feed makes the resolver shed and brown out, so
+//!    it records `topo_resolve` and `topo_shed`.
 //!
 //! Each output is byte-identical across `DCB_THREADS` settings
 //! (`trace_chrome`, `prof_profile` and `telemetry_snapshot` check that),
@@ -27,6 +33,13 @@ const COLLAPSED_FIG5_TO_FIG9: u128 = 0x4141_2bec_c96b_73e4_6a81_74d1_3013_5422;
 /// `engine.locate.first_true_calls` fell from 2,280 to 443, and nothing
 /// else moved.
 const TELEMETRY_FIG5_TO_FIG9: u128 = 0x81bb_1b74_a860_0ddb_cdf1_4ac2_5989_6d49;
+
+/// Digest of the `repro all` Chrome trace.
+const CHROME_ALL: u128 = 0x1e68_e169_a219_6b18_f8d9_027c_44ad_4971;
+/// Digest of the `DCB_TRACE=timeline repro all` stdout.
+const TIMELINE_ALL: u128 = 0x5193_5917_83b7_c547_11d1_027f_addf_4383;
+/// Digest of the `repro topo fixtures/capped_feed.topo` Chrome trace.
+const CHROME_TOPO_CAPPED_FEED: u128 = 0xe467_d47a_d6d5_f3b8_409a_61ed_e12d_1e11;
 
 const FIGURES: [&str; 5] = ["fig5", "fig6", "fig7", "fig8", "fig9"];
 
@@ -57,14 +70,15 @@ fn digest(bytes: &[u8]) -> u128 {
     hasher.finish()
 }
 
-#[test]
-fn fig5_chrome_trace_matches_golden_digest() {
+/// Runs `repro` with `args` under `DCB_TRACE=chrome`, writing the trace
+/// into a temporary directory, and returns the trace file's bytes.
+fn chrome_trace(args: &[&str], tag: &str) -> Vec<u8> {
     let file = std::env::temp_dir().join(format!(
-        "dcb_observability_golden_{}.json",
+        "dcb_observability_golden_{tag}_{}.json",
         std::process::id()
     ));
     repro(
-        &["fig5"],
+        args,
         &[
             ("DCB_TRACE", "chrome".as_ref()),
             ("DCB_TRACE_FILE", file.as_os_str()),
@@ -72,12 +86,39 @@ fn fig5_chrome_trace_matches_golden_digest() {
     );
     let trace = std::fs::read(&file).expect("trace file written");
     let _ = std::fs::remove_file(&file);
-    let got = digest(&trace);
-    assert_eq!(
-        got,
-        CHROME_FIG5,
-        "digest {got:#034x} over {} bytes",
-        trace.len()
+    trace
+}
+
+fn assert_digest(bytes: &[u8], want: u128) {
+    let got = digest(bytes);
+    assert_eq!(got, want, "digest {got:#034x} over {} bytes", bytes.len());
+}
+
+#[test]
+fn fig5_chrome_trace_matches_golden_digest() {
+    assert_digest(&chrome_trace(&["fig5"], "fig5"), CHROME_FIG5);
+}
+
+#[test]
+fn repro_all_chrome_trace_matches_golden_digest() {
+    assert_digest(&chrome_trace(&["all"], "all"), CHROME_ALL);
+}
+
+#[test]
+fn repro_all_timeline_matches_golden_digest() {
+    let stdout = repro(&["all"], &[("DCB_TRACE", "timeline".as_ref())]);
+    assert_digest(&stdout, TIMELINE_ALL);
+}
+
+#[test]
+fn capped_feed_topology_chrome_trace_matches_golden_digest() {
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/capped_feed.topo"
+    );
+    assert_digest(
+        &chrome_trace(&["topo", spec], "topo"),
+        CHROME_TOPO_CAPPED_FEED,
     );
 }
 
