@@ -115,14 +115,14 @@ impl<V: Clone> EvalCache<V> {
             self.hits.fetch_add(1, Ordering::Relaxed);
             hit_events.incr();
             dcb_trace::instant(None, None, || dcb_trace::EventKind::CacheHit {
-                digest: format!("{key:032x}"),
+                digest: key,
             });
             return value;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         miss_events.incr();
         dcb_trace::instant(None, None, || dcb_trace::EventKind::CacheMiss {
-            digest: format!("{key:032x}"),
+            digest: key,
         });
         if dcb_prof::enabled() {
             let _cache = dcb_prof::frame("eval-cache");

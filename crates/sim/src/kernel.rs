@@ -76,7 +76,7 @@ fn trace_dg_milestones(backup: &BackupSystem, outage: Seconds, root: Option<u32>
         if at <= outage {
             dcb_trace::instant(Some(dcb_trace::micros(at)), root, || {
                 dcb_trace::EventKind::DgRampPhase {
-                    phase: phase.to_owned(),
+                    phase: phase.into(),
                 }
             });
         }
@@ -333,7 +333,7 @@ impl OutageSim {
                     let end_us = dcb_trace::micros(end);
                     dcb_trace::complete(start_us, end_us.saturating_sub(start_us), t_root, || {
                         dcb_trace::EventKind::SegmentCommit {
-                            end_cause: ended_by.as_str().to_owned(),
+                            end_cause: ended_by.as_str().into(),
                             load_mw: (load.value() * 1e3).round() as u64,
                             throughput_pm: (rate * 1e3).round() as u64,
                             in_downtime: down,
@@ -618,8 +618,8 @@ fn note_transition(from: &'static str, mode: &Mode, t: Seconds, root: Option<u32
     if dcb_trace::enabled() {
         dcb_trace::instant(Some(dcb_trace::micros(t)), root, || {
             dcb_trace::EventKind::TechniqueTransition {
-                from: from.to_owned(),
-                to: to.to_owned(),
+                from: from.into(),
+                to: to.into(),
             }
         });
     }

@@ -538,7 +538,7 @@ impl Stitcher<'_> {
                                 plan.node.level.index(),
                                 0,
                                 EventKind::TopoShed {
-                                    level: plan.node.level.name().to_owned(),
+                                    level: plan.node.level.name().into(),
                                     name: plan.node.name.clone(),
                                     servers,
                                 },
@@ -566,7 +566,7 @@ impl Stitcher<'_> {
                 plan.node.level.index(),
                 dcb_trace::micros(self.outage),
                 EventKind::TopoResolve {
-                    level: plan.node.level.name().to_owned(),
+                    level: plan.node.level.name().into(),
                     name: plan.node.name.clone(),
                     multiplicity: plan.scale * u64::from(plan.node.multiplicity),
                     feasible: part.outcome.feasible,

@@ -8,7 +8,15 @@
 //! with a fixed escape set — so `encode → parse → encode` is
 //! byte-identical (asserted by a proptest) and traces can be diffed with
 //! ordinary text tools.
+//!
+//! Names a record site always takes from a fixed vocabulary (segment end
+//! causes, DG ramp phases, technique modes, topology levels) are
+//! `Cow<'static, str>`: recording borrows the literal, so building one of
+//! these events allocates nothing, while the line parser still accepts
+//! any text into an owned value. Cache digests are `u128` and encode as
+//! 32 lowercase hex digits everywhere they are written.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// One flight-recorder event.
@@ -50,22 +58,22 @@ pub enum EventKind {
     /// The diesel generator crossed a ramp milestone.
     DgRampPhase {
         /// `engine_start`, `full_power`, or `fuel_exhausted`.
-        phase: String,
+        phase: Cow<'static, str>,
     },
     /// The UPS battery hit exact depletion.
     BatteryDeplete,
     /// The cluster's mode changed (technique state machine step).
     TechniqueTransition {
         /// Mode before the transition.
-        from: String,
+        from: Cow<'static, str>,
         /// Mode after the transition.
-        to: String,
+        to: Cow<'static, str>,
     },
     /// The kernel committed one constant-load analytic segment.
     SegmentCommit {
         /// Wire name of the segment's end cause
         /// (see `dcb_sim::SegmentEnd::as_str`).
-        end_cause: String,
+        end_cause: Cow<'static, str>,
         /// Constant supply load over the segment, in milliwatts.
         load_mw: u64,
         /// Normalized throughput over the segment, in per-mille.
@@ -78,13 +86,13 @@ pub enum EventKind {
     DustSnap,
     /// The fleet evaluation cache answered a lookup.
     CacheHit {
-        /// Hex scenario digest (the cache key).
-        digest: String,
+        /// Scenario digest (the cache key), written as 32 hex digits.
+        digest: u128,
     },
     /// The fleet evaluation cache had to compute.
     CacheMiss {
-        /// Hex scenario digest (the cache key).
-        digest: String,
+        /// Scenario digest (the cache key), written as 32 hex digits.
+        digest: u128,
     },
     /// The first-true root finder bracketed and bisected a predicate flip.
     ShortfallRoot {
@@ -104,7 +112,7 @@ pub enum EventKind {
     /// finished resolving.
     TopoResolve {
         /// Hierarchy level name (`datacenter`, `cluster`, `rack`, `server`).
-        level: String,
+        level: Cow<'static, str>,
         /// Display name of the node.
         name: String,
         /// Explicit copies the resolved node stood for.
@@ -115,7 +123,7 @@ pub enum EventKind {
     /// A deficit decision cut power to a topology consumer class.
     TopoShed {
         /// Hierarchy level name of the shed node.
-        level: String,
+        level: Cow<'static, str>,
         /// Display name of the shed node.
         name: String,
         /// Servers shed (counting multiplicities).
@@ -217,8 +225,7 @@ impl Event {
                 );
             }
             EventKind::CacheHit { digest } | EventKind::CacheMiss { digest } => {
-                out.push_str(" digest=");
-                escape_into(&mut out, digest);
+                let _ = write!(out, " digest=\"{digest:032x}\"");
             }
             EventKind::ShortfallRoot { bisections } => {
                 let _ = write!(out, " bisections={bisections}");
@@ -282,25 +289,25 @@ impl Event {
                 outage_us: cursor.field("outage_us")?.parse_u64()?,
             },
             "dg_ramp_phase" => EventKind::DgRampPhase {
-                phase: cursor.field("phase")?.string()?,
+                phase: cursor.field("phase")?.name()?,
             },
             "battery_deplete" => EventKind::BatteryDeplete,
             "technique_transition" => EventKind::TechniqueTransition {
-                from: cursor.field("from")?.string()?,
-                to: cursor.field("to")?.string()?,
+                from: cursor.field("from")?.name()?,
+                to: cursor.field("to")?.name()?,
             },
             "segment_commit" => EventKind::SegmentCommit {
-                end_cause: cursor.field("end_cause")?.string()?,
+                end_cause: cursor.field("end_cause")?.name()?,
                 load_mw: cursor.field("load_mw")?.parse_u64()?,
                 throughput_pm: cursor.field("throughput_pm")?.parse_u64()?,
                 in_downtime: cursor.field("in_downtime")?.parse_bool()?,
             },
             "dust_snap" => EventKind::DustSnap,
             "cache_hit" => EventKind::CacheHit {
-                digest: cursor.field("digest")?.string()?,
+                digest: cursor.field("digest")?.digest()?,
             },
             "cache_miss" => EventKind::CacheMiss {
-                digest: cursor.field("digest")?.string()?,
+                digest: cursor.field("digest")?.digest()?,
             },
             "shortfall_root" => EventKind::ShortfallRoot {
                 bisections: cursor.field("bisections")?.parse_u64()?,
@@ -311,13 +318,13 @@ impl Event {
                 feasible: cursor.field("feasible")?.parse_bool()?,
             },
             "topo_resolve" => EventKind::TopoResolve {
-                level: cursor.field("level")?.string()?,
+                level: cursor.field("level")?.name()?,
                 name: cursor.field("name")?.string()?,
                 multiplicity: cursor.field("multiplicity")?.parse_u64()?,
                 feasible: cursor.field("feasible")?.parse_bool()?,
             },
             "topo_shed" => EventKind::TopoShed {
-                level: cursor.field("level")?.string()?,
+                level: cursor.field("level")?.name()?,
                 name: cursor.field("name")?.string()?,
                 servers: cursor.field("servers")?.parse_u64()?,
             },
@@ -414,6 +421,24 @@ impl FieldValue {
             return Err(format!("field `{}`: expected quoted string", self.key));
         }
         Ok(self.raw.clone())
+    }
+
+    /// The value as an owned name (must have been quoted).
+    fn name(&self) -> Result<Cow<'static, str>, String> {
+        self.string().map(Cow::Owned)
+    }
+
+    /// The value as a digest: exactly 32 lowercase hex digits, quoted, so
+    /// that every accepted line re-encodes byte for byte.
+    fn digest(&self) -> Result<u128, String> {
+        let hex = self.string()?;
+        if hex.len() != 32 || !hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+            return Err(format!(
+                "field `{}`: not 32 lowercase hex digits: `{hex}`",
+                self.key
+            ));
+        }
+        u128::from_str_radix(&hex, 16).map_err(|e| format!("field `{}`: {e}", self.key))
     }
 }
 
@@ -527,26 +552,22 @@ mod tests {
                 outage_us: 7_200_000_000,
             },
             EventKind::DgRampPhase {
-                phase: "engine_start".to_owned(),
+                phase: "engine_start".into(),
             },
             EventKind::BatteryDeplete,
             EventKind::TechniqueTransition {
-                from: "serving".to_owned(),
-                to: "crashed".to_owned(),
+                from: "serving".into(),
+                to: "crashed".into(),
             },
             EventKind::SegmentCommit {
-                end_cause: "outage_end".to_owned(),
+                end_cause: "outage_end".into(),
                 load_mw: 4_000_000,
                 throughput_pm: 1000,
                 in_downtime: false,
             },
             EventKind::DustSnap,
-            EventKind::CacheHit {
-                digest: "00ff".to_owned(),
-            },
-            EventKind::CacheMiss {
-                digest: "abcdef".to_owned(),
-            },
+            EventKind::CacheHit { digest: 0xff },
+            EventKind::CacheMiss { digest: u128::MAX },
             EventKind::ShortfallRoot { bisections: 31 },
             EventKind::Evaluate {
                 config: "MinCost".to_owned(),
@@ -554,13 +575,13 @@ mod tests {
                 feasible: false,
             },
             EventKind::TopoResolve {
-                level: "cluster".to_owned(),
+                level: "cluster".into(),
                 name: "row-7".to_owned(),
                 multiplicity: 100,
                 feasible: true,
             },
             EventKind::TopoShed {
-                level: "rack".to_owned(),
+                level: "rack".into(),
                 name: "batch".to_owned(),
                 servers: 1600,
             },
@@ -600,7 +621,7 @@ mod tests {
                 at_us: Some(1),
                 dur_us: 0,
                 kind: EventKind::DgRampPhase {
-                    phase: s.to_owned(),
+                    phase: s.to_owned().into(),
                 },
             });
         }
@@ -621,5 +642,14 @@ mod tests {
                 .is_err(),
             "unterminated strings must be rejected"
         );
+        let digest = |hex: &str| {
+            Event::parse(&format!(
+                "lane=0 seq=0 parent=- at=- dur=0 kind=cache_hit digest=\"{hex}\""
+            ))
+        };
+        assert!(digest(&"0f".repeat(16)).is_ok());
+        for hex in ["0f", &"0F".repeat(16), &"0f".repeat(17), &"+f".repeat(16)] {
+            assert!(digest(hex).is_err(), "digest `{hex}` must be rejected");
+        }
     }
 }

@@ -51,7 +51,7 @@ pub fn tally(events: &[Event]) -> TimelineTally {
             }
             energy += Watts::new(*load_mw as f64 / 1e3)
                 .for_duration(Seconds::new(event.dur_us as f64 / 1e6));
-            *causes.entry(end_cause.as_str()).or_default() += 1;
+            *causes.entry(end_cause.as_ref()).or_default() += 1;
         }
     }
     TimelineTally {
@@ -180,10 +180,10 @@ fn render_line(
             out.push_str("battery dust snapped to empty\n");
         }
         EventKind::CacheHit { digest } => {
-            let _ = writeln!(out, "cache hit {}", short_digest(digest));
+            let _ = writeln!(out, "cache hit {:08x}", short_digest(*digest));
         }
         EventKind::CacheMiss { digest } => {
-            let _ = writeln!(out, "cache miss {}", short_digest(digest));
+            let _ = writeln!(out, "cache miss {:08x}", short_digest(*digest));
         }
         EventKind::ShortfallRoot { bisections } => {
             let _ = writeln!(out, "shortfall root located ({bisections} bisections)");
@@ -249,9 +249,10 @@ fn fmt_energy(energy: WattHours) -> String {
     }
 }
 
-/// The first 8 hex digits of a scenario digest — enough to eyeball.
-fn short_digest(digest: &str) -> &str {
-    digest.get(..8).unwrap_or(digest)
+/// The leading 32 bits of a scenario digest, the first 8 of its 32 hex
+/// digits — enough to eyeball.
+fn short_digest(digest: u128) -> u128 {
+    digest >> 96
 }
 
 #[cfg(test)]
@@ -266,7 +267,7 @@ mod tests {
             at_us: Some(at),
             dur_us: dur,
             kind: EventKind::SegmentCommit {
-                end_cause: cause.to_owned(),
+                end_cause: cause.to_owned().into(),
                 load_mw: 2_000_000_000, // 2 MW
                 throughput_pm: 750,
                 in_downtime: down,

@@ -49,13 +49,13 @@ fn events(count: usize, seed: u64) -> Vec<Event> {
                     outage_us: bits,
                 },
                 1 => EventKind::SegmentCommit {
-                    end_cause: text(&mut state),
+                    end_cause: text(&mut state).into(),
                     load_mw: bits,
                     throughput_pm: bits % 1001,
                     in_downtime: bits & 8 == 8,
                 },
                 2 => EventKind::CacheHit {
-                    digest: text(&mut state),
+                    digest: u128::from(next(&mut state)) << 64 | u128::from(bits),
                 },
                 _ => EventKind::BatteryDeplete,
             };
