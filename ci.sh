@@ -47,7 +47,7 @@ cargo test -q --release -p dcb-topology --test aggregation
 echo "== dcb-engine (calendar, EventTime and locate units + calendar stable-sort proptest)"
 cargo test -q -p dcb-engine
 
-echo "== golden digests (kernel trajectories, also fanned out over 1, 2 and 8 fleet threads, sizing search, the §7 adaptive controller and its stepped oracle, repro all output and the three observability outputs, bit for bit)"
+echo "== golden digests (kernel trajectories, also fanned out over 1, 2 and 8 fleet threads, sizing search, the §7 adaptive controller and its stepped oracle, repro all output, and the observability outputs: the fig5 Chrome trace, the fig5-fig9 collapsed profile and telemetry JSON, the repro all Chrome trace and timeline, and the capped-feed repro topo Chrome trace, bit for bit)"
 cargo test -q --release -p dcb-sim --test kernel_golden
 cargo test -q --release -p dcb-core --test sizing_golden
 cargo test -q --release -p dcb-core --lib -- sizing::tests::pruned_search sizing::tests::ups_cost_never_decreases_with_runtime
@@ -56,13 +56,15 @@ cargo test -q --release -p dcb-core --lib -- online::tests::event_driven_control
 cargo test -q --release -p dcb-bench --test repro_golden
 cargo test -q --release -p dcb-bench --test observability_golden
 
-echo "== digest grouping and hostile input: specs, JSON, collapsed profiles and trace lines (typed fingerprints group as Debug text does; no input panics a parser, accepted profiles and lines round-trip)"
+echo "== digest grouping and hostile input: specs, JSON, collapsed profiles, trace lines and Chrome writer input (typed fingerprints group as Debug text does; no input panics a parser, accepted profiles and lines round-trip; the one-pass Chrome writer matches the writer it replaced byte for byte; exited threads' trace rings are dropped)"
 cargo test -q --release -p dcb-fleet --test grouping
 cargo test -q --release -p dcb-topology --test grouping
 cargo test -q --release -p dcb-topology --test hostile_spec
 cargo test -q --release -p dcb-trace --test hostile_json
 cargo test -q --release -p dcb-prof --test roundtrip
 cargo test -q --release -p dcb-trace --test roundtrip
+cargo test -q --release -p dcb-trace --test chrome_oracle
+cargo test -q --release -p dcb-trace --lib -- ring::tests
 
 echo "== engine bench smoke (event kernel vs stepped oracle)"
 DCB_ENGINE_BENCH_SMOKE=1 cargo bench -q -p dcb-bench --bench engine
@@ -88,8 +90,9 @@ cargo test -q -p dcb-audit
 echo "== trace determinism (Chrome export byte-identical across DCB_THREADS)"
 cargo test -q --release -p dcb-bench --test trace_chrome
 
-echo "== profiler determinism (collapsed/svg byte-identical across DCB_THREADS, telemetry-reconciled)"
+echo "== profiler determinism (collapsed/svg byte-identical across DCB_THREADS, telemetry-reconciled; per-thread arenas equal serial recording)"
 cargo test -q --release -p dcb-bench --test prof_profile
+cargo test -q --release -p dcb-prof --test arenas
 
 echo "== perf observatory regression detection (injected-regression fixture)"
 cargo test -q -p dcb-bench --test perf_observatory
