@@ -5,11 +5,11 @@
 //! the middle pass touches a simulator. This module makes that boundary
 //! explicit: the planner emits [`LeafRun`] descriptions (data, not
 //! calls), and a [`LeafEvaluator`] turns each description into an
-//! outcome. The default [`KernelEvaluator`] hosts the engine-backed
-//! `dcb-sim` kernel — the same [`OutageSim::run`] every production path
-//! uses — but tests and future scenario layers can inject their own
-//! evaluator (counting stubs, cached sweeps, alternative solvers)
-//! without re-plumbing the resolver.
+//! outcome. The default [`KernelEvaluator`] runs the `dcb-sim` outage
+//! kernel — the same [`OutageSim::run`] every production path uses — but
+//! tests and future scenario layers can inject their own evaluator
+//! (counting stubs, cached sweeps, alternative solvers) without
+//! re-plumbing the resolver.
 
 use dcb_power::BackupConfig;
 use dcb_sim::{Cluster, OutageSim, SimOutcome, Technique};
@@ -60,7 +60,61 @@ impl StableHash for BackupShare {
     }
 }
 
-impl StableHash for LeafRun {
+/// A [`LeafRun`] borrowed from its parts. The resolver keys a pending
+/// leaf by it and builds the owned run only when the key is new.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Job<'a> {
+    /// [`LeafRun::Serve`].
+    Serve {
+        cluster: Cluster,
+        config: &'a BackupConfig,
+        technique: &'a Technique,
+        share: &'a BackupShare,
+    },
+    /// [`LeafRun::Shed`].
+    Shed { cluster: Cluster },
+}
+
+impl Job<'_> {
+    /// The owned run.
+    pub(crate) fn to_run(self) -> LeafRun {
+        match self {
+            Self::Serve {
+                cluster,
+                config,
+                technique,
+                share,
+            } => LeafRun::Serve {
+                cluster,
+                config: config.clone(),
+                technique: technique.clone(),
+                share: share.clone(),
+            },
+            Self::Shed { cluster } => LeafRun::Shed { cluster },
+        }
+    }
+}
+
+impl<'a> From<&'a LeafRun> for Job<'a> {
+    fn from(run: &'a LeafRun) -> Self {
+        match run {
+            LeafRun::Serve {
+                cluster,
+                config,
+                technique,
+                share,
+            } => Self::Serve {
+                cluster: *cluster,
+                config,
+                technique,
+                share,
+            },
+            LeafRun::Shed { cluster } => Self::Shed { cluster: *cluster },
+        }
+    }
+}
+
+impl StableHash for Job<'_> {
     fn stable_hash(&self, hasher: &mut StableHasher) {
         match self {
             Self::Serve {
@@ -80,6 +134,12 @@ impl StableHash for LeafRun {
                 cluster.stable_hash(hasher);
             }
         }
+    }
+}
+
+impl StableHash for LeafRun {
+    fn stable_hash(&self, hasher: &mut StableHasher) {
+        Job::from(self).stable_hash(hasher);
     }
 }
 

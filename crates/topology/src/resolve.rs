@@ -13,7 +13,7 @@
 //!    nameplate) or is *shed*. Because allocation depends only on static
 //!    nameplate demands, the plan for N identical copies is computed once.
 //! 2. **Simulate**: every distinct leaf class becomes one kernel run
-//!    ([`dcb_sim::OutageSim`]), deduplicated by stable digest and fanned
+//!    ([`dcb_sim::OutageSim`]), deduplicated by its typed encoding and fanned
 //!    out over a [`dcb_fleet::FleetPool`] (order-preserving, so results
 //!    are `DCB_THREADS`-invariant). Served leaves run their technique
 //!    against their proportional slice of the domain's backup; when a
@@ -30,9 +30,9 @@
 //! stitch step is a verbatim copy — so its aggregate is bit-identical to
 //! the flat kernel's [`SimOutcome`].
 
-use crate::digest::collapse;
-use crate::evaluate::{BackupShare, KernelEvaluator, LeafEvaluator, LeafRun};
-use crate::node::{Body, Consumer, DeficitPolicy, Level, Node, Topology, TopologyError};
+use crate::digest::View;
+use crate::evaluate::{BackupShare, Job, KernelEvaluator, LeafEvaluator, LeafRun};
+use crate::node::{Body, Consumer, DeficitPolicy, Level, Topology, TopologyError};
 use crate::outcome::{LevelReport, ResolveStats, TopologyOutcome};
 use dcb_fleet::FleetPool;
 use dcb_power::BackupConfig;
@@ -51,7 +51,8 @@ pub const BROWNOUT_FLOOR: Fraction = Fraction::HALF;
 /// Which representation the resolver works on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Aggregation {
-    /// Canonicalize first ([`collapse`]): identical subtrees resolve once.
+    /// Merge identical siblings first (the [`collapse`](crate::collapse)
+    /// rule, over a borrowed view): identical subtrees resolve once.
     Collapsed,
     /// Naive flat expansion: every copy resolves individually (the
     /// baseline the topology bench measures aggregation against).
@@ -116,13 +117,17 @@ pub fn resolve_with_evaluator<E: LeafEvaluator + ?Sized>(
 ) -> Result<TopologyOutcome, TopologyError> {
     topology.validate()?;
     let _span = dcb_telemetry::span("topo.resolve");
-    let tree = match aggregation {
-        Aggregation::Collapsed => collapse(&topology.root),
-        Aggregation::Flat => topology.expand().root,
+    let expanded;
+    let view = match aggregation {
+        Aggregation::Collapsed => View::merged(&topology.root),
+        Aggregation::Flat => {
+            expanded = topology.expand();
+            View::unmerged(&expanded.root)
+        }
     };
     let mut planner = Planner::new();
     planner.stats.explicit_nodes = topology.root.explicit_nodes();
-    let plan = planner.plan_node(&tree, None, tree.demand(), 1, 1);
+    let plan = planner.plan_node(&view, None, view.demand(), 1, 1);
     planner.materialize_jobs();
     planner.stats.distinct_leaf_sims = planner.jobs.len() as u64;
 
@@ -167,29 +172,30 @@ pub fn resolve_with_evaluator<E: LeafEvaluator + ?Sized>(
     })
 }
 
-/// Stable fingerprint of a planned leaf run, used to deduplicate
-/// identical jobs within one resolve.
-fn job_digest(run: &LeafRun) -> u128 {
-    let mut hasher = StableHasher::new();
-    run.stable_hash(&mut hasher);
+/// The in-resolve identity of a planned leaf run, used to deduplicate
+/// identical jobs within one resolve: [`LeafRun`]'s typed encoding,
+/// absorbed word-wise ([`StableHasher::words`]).
+fn job_key(job: &Job<'_>) -> u128 {
+    let mut hasher = StableHasher::words();
+    job.stable_hash(&mut hasher);
     hasher.finish()
 }
 
 /// One supply domain: the subtree under a backup-provisioning node.
 #[derive(Debug)]
-struct Domain {
-    config: Option<BackupConfig>,
+struct Domain<'a> {
+    config: Option<&'a BackupConfig>,
     /// Nameplate demand of one copy of the domain node.
     nameplate: Watts,
     /// Nameplate demand shed within one copy (drives the survivor boost).
     shed_demand: Watts,
-    pending: Vec<PendingLeaf>,
+    pending: Vec<PendingLeaf<'a>>,
     /// Pending index → global job index, filled by `materialize_jobs`.
     job_of: Vec<usize>,
 }
 
-impl Domain {
-    fn new(config: Option<BackupConfig>, nameplate: Watts) -> Self {
+impl<'a> Domain<'a> {
+    fn new(config: Option<&'a BackupConfig>, nameplate: Watts) -> Self {
         Self {
             config,
             nameplate,
@@ -201,15 +207,16 @@ impl Domain {
 }
 
 #[derive(Debug)]
-struct PendingLeaf {
+struct PendingLeaf<'a> {
     cluster: Cluster,
-    technique: Technique,
-    shed: bool,
+    /// The technique the allocation lets this leaf hold, borrowed from
+    /// its consumer; `None` when the leaf is shed.
+    technique: Option<&'a Technique>,
 }
 
 /// The plan for one (possibly aggregated) node.
 struct PlanNode<'a> {
-    node: &'a Node,
+    view: &'a View<'a>,
     /// How many times this whole context repeats globally (product of
     /// ancestor class copies).
     scale: u64,
@@ -224,23 +231,17 @@ struct PlanClass<'a> {
 }
 
 enum ClassKind<'a> {
-    Leaf {
-        domain: usize,
-        pending: usize,
-        shed: bool,
-    },
-    Group {
-        children: Vec<PlanNode<'a>>,
-    },
+    Leaf { domain: usize, pending: usize },
+    Group { children: Vec<PlanNode<'a>> },
 }
 
-struct Planner {
+struct Planner<'a> {
     stats: ResolveStats,
-    domains: Vec<Domain>,
+    domains: Vec<Domain<'a>>,
     jobs: Vec<LeafRun>,
 }
 
-impl Planner {
+impl<'a> Planner<'a> {
     fn new() -> Self {
         Self {
             stats: ResolveStats::default(),
@@ -254,26 +255,26 @@ impl Planner {
     /// globally; `wcopies` counts repeats *within one copy of the
     /// enclosing supply domain* (the multiplier for per-copy shed
     /// accounting).
-    fn plan_node<'a>(
+    fn plan_node(
         &mut self,
-        node: &'a Node,
+        view: &'a View<'a>,
         domain: Option<usize>,
         grant_total: Watts,
         scale: u64,
         wcopies: u64,
     ) -> PlanNode<'a> {
-        let mult = u64::from(node.multiplicity);
+        let mult = u64::from(view.multiplicity);
 
         // A backup node opens its own supply domain and is self-powered at
         // nameplate: grants from above describe the (now dead) grid feed.
-        if let Some(config) = &node.backup {
+        if let Some(config) = &view.node.backup {
             let domain_id = self.domains.len();
             self.domains
-                .push(Domain::new(Some(config.clone()), node.unit_demand()));
+                .push(Domain::new(Some(config), view.unit_demand));
             self.stats.resolved_nodes += 1;
-            let kind = self.plan_body(node, domain_id, node.unit_demand(), scale * mult, 1);
+            let kind = self.plan_body(view, domain_id, view.unit_demand, scale * mult, 1);
             return PlanNode {
-                node,
+                view,
                 scale,
                 classes: vec![PlanClass { copies: mult, kind }],
             };
@@ -283,16 +284,16 @@ impl Planner {
             // Above all domains there is no supply to allocate: pure
             // grouping (validate guarantees no consumer lives here).
             self.stats.resolved_nodes += 1;
-            let kind = self.plan_body_ungoverned(node, scale * mult);
+            let kind = self.plan_body_ungoverned(view, scale * mult);
             return PlanNode {
-                node,
+                view,
                 scale,
                 classes: vec![PlanClass { copies: mult, kind }],
             };
         };
 
-        let unit_demand = node.unit_demand();
-        let want = match node.feed_capacity {
+        let unit_demand = view.unit_demand;
+        let want = match view.node.feed_capacity {
             Some(capacity) => capacity.min(unit_demand),
             None => unit_demand,
         };
@@ -301,11 +302,11 @@ impl Planner {
         // (which still carries an interior deficit when the feed edge
         // caps below nameplate). Grants in this regime are exact copies
         // of demands, so the comparison involves no arithmetic slack.
-        if grant_total >= node.demand() {
+        if grant_total >= view.demand() {
             self.stats.resolved_nodes += 1;
-            let kind = self.plan_body(node, domain_id, want, scale * mult, wcopies * mult);
+            let kind = self.plan_body(view, domain_id, want, scale * mult, wcopies * mult);
             return PlanNode {
-                node,
+                view,
                 scale,
                 classes: vec![PlanClass { copies: mult, kind }],
             };
@@ -318,25 +319,25 @@ impl Planner {
         let full = (mult as f64).min((available / want).floor()) as u64;
         if full > 0 {
             self.stats.resolved_nodes += 1;
-            let kind = self.plan_body(node, domain_id, want, scale * full, wcopies * full);
+            let kind = self.plan_body(view, domain_id, want, scale * full, wcopies * full);
             classes.push(PlanClass { copies: full, kind });
         }
         let leftover = available - want * full as f64;
         let mut assigned = full;
         if leftover.is_positive() && full < mult {
             self.stats.resolved_nodes += 1;
-            let kind = self.plan_body(node, domain_id, leftover, scale, wcopies);
+            let kind = self.plan_body(view, domain_id, leftover, scale, wcopies);
             classes.push(PlanClass { copies: 1, kind });
             assigned += 1;
         }
         if assigned < mult {
             let rest = mult - assigned;
             self.stats.resolved_nodes += 1;
-            let kind = self.plan_body(node, domain_id, Watts::ZERO, scale * rest, wcopies * rest);
+            let kind = self.plan_body(view, domain_id, Watts::ZERO, scale * rest, wcopies * rest);
             classes.push(PlanClass { copies: rest, kind });
         }
         PlanNode {
-            node,
+            view,
             scale,
             classes,
         }
@@ -345,21 +346,21 @@ impl Planner {
     /// Plans one copy's interior under a per-copy allocation. `class_scale`
     /// is the global repeat count of this copy; `wcopies` its repeat count
     /// within one copy of the enclosing domain.
-    fn plan_body<'a>(
+    fn plan_body(
         &mut self,
-        node: &'a Node,
+        view: &'a View<'a>,
         domain_id: usize,
         alloc: Watts,
         class_scale: u64,
         wcopies: u64,
     ) -> ClassKind<'a> {
-        match &node.body {
+        match &view.node.body {
             Body::Consumer(consumer) => {
-                self.plan_leaf(consumer, domain_id, alloc, class_scale, wcopies)
+                self.plan_leaf(consumer, view, domain_id, alloc, class_scale, wcopies)
             }
-            Body::Group(children) => {
-                let unit_demand = node.unit_demand();
-                if alloc >= unit_demand {
+            Body::Group(_) => {
+                let children = &view.children;
+                if alloc >= view.unit_demand {
                     let planned = children
                         .iter()
                         .map(|child| {
@@ -379,7 +380,7 @@ impl Planner {
                 // and with it stat/trace ordering — stays representation-
                 // independent.
                 let mut order: Vec<usize> = (0..children.len()).collect();
-                order.sort_by_key(|&i| children[i].priority());
+                order.sort_by_key(|&i| children[i].priority);
                 let mut grants = vec![Watts::ZERO; children.len()];
                 let mut remaining = alloc;
                 for &i in &order {
@@ -401,25 +402,26 @@ impl Planner {
 
     /// Decides one consumer class's fate under its allocation: serve,
     /// brown out, or shed.
-    fn plan_leaf<'a>(
+    fn plan_leaf(
         &mut self,
-        consumer: &Consumer,
+        consumer: &'a Consumer,
+        view: &View<'_>,
         domain_id: usize,
         alloc: Watts,
         class_scale: u64,
         wcopies: u64,
     ) -> ClassKind<'a> {
-        let demand = consumer.cluster.peak_power();
-        let servers = u64::from(consumer.cluster.size()) * class_scale;
+        let demand = view.unit_demand;
+        let servers = view.unit_servers * class_scale;
         self.stats.implied_leaf_sims += class_scale;
-        let (technique, shed) = if alloc >= demand {
+        let technique = if alloc >= demand {
             self.stats.served_servers += servers;
-            (consumer.technique.clone(), false)
+            Some(&consumer.technique)
         } else {
             match &consumer.on_deficit {
                 DeficitPolicy::Brownout(fallback) if alloc >= demand * BROWNOUT_FLOOR.value() => {
                     self.stats.browned_out_servers += servers;
-                    (fallback.clone(), false)
+                    Some(fallback)
                 }
                 _ => {
                     self.stats.shed_events += 1;
@@ -428,7 +430,7 @@ impl Planner {
                     // and the domain nameplate are per-domain-copy values,
                     // hence the within-domain multiplier.
                     self.domains[domain_id].shed_demand += demand * wcopies as f64;
-                    (Technique::crash(), true)
+                    None
                 }
             }
         };
@@ -436,28 +438,26 @@ impl Planner {
         self.domains[domain_id].pending.push(PendingLeaf {
             cluster: consumer.cluster,
             technique,
-            shed,
         });
         ClassKind::Leaf {
             domain: domain_id,
             pending,
-            shed,
         }
     }
 
     /// Plans grouping structure that sits above every supply domain.
-    fn plan_body_ungoverned<'a>(&mut self, node: &'a Node, class_scale: u64) -> ClassKind<'a> {
-        match &node.body {
+    fn plan_body_ungoverned(&mut self, view: &'a View<'a>, class_scale: u64) -> ClassKind<'a> {
+        match &view.node.body {
             // Unreachable for validated topologies (a consumer above all
             // domains fails `validate`); planned as shed defensively.
             Body::Consumer(consumer) => {
                 let domain_id = self.domains.len();
-                self.domains
-                    .push(Domain::new(None, consumer.cluster.peak_power()));
-                self.plan_leaf(consumer, domain_id, Watts::ZERO, class_scale, 1)
+                self.domains.push(Domain::new(None, view.unit_demand));
+                self.plan_leaf(consumer, view, domain_id, Watts::ZERO, class_scale, 1)
             }
-            Body::Group(children) => ClassKind::Group {
-                children: children
+            Body::Group(_) => ClassKind::Group {
+                children: view
+                    .children
                     .iter()
                     .map(|child| self.plan_node(child, None, child.demand(), class_scale, 1))
                     .collect(),
@@ -466,10 +466,16 @@ impl Planner {
     }
 
     /// Converts pending leaves into deduplicated jobs, assigning each
-    /// domain's survivor share (boosted when the domain shed load).
+    /// domain's survivor share (boosted when the domain shed load). A
+    /// leaf's job is keyed from borrowed parts; only a new key clones
+    /// them into a [`LeafRun`].
     fn materialize_jobs(&mut self) {
         let jobs = &mut self.jobs;
-        let mut index: BTreeMap<u128, usize> = BTreeMap::new();
+        let leaves = self.domains.iter().map(|domain| domain.pending.len()).sum();
+        let mut index = JobIndex::with_capacity(leaves);
+        // Only a domain above every backup node (which `validate`
+        // rejects) has no configuration of its own.
+        let mut min_cost: Option<BackupConfig> = None;
         for domain in &mut self.domains {
             let headroom = domain.nameplate - domain.shed_demand;
             let share = if domain.shed_demand.is_zero() || !headroom.is_positive() {
@@ -477,24 +483,27 @@ impl Planner {
             } else {
                 BackupShare::Boosted(domain.nameplate / headroom)
             };
+            let config = match domain.config {
+                Some(config) => config,
+                None => min_cost.get_or_insert_with(BackupConfig::min_cost),
+            };
             let job_of: Vec<usize> = domain
                 .pending
                 .iter()
                 .map(|leaf| {
-                    let job = if leaf.shed {
-                        LeafRun::Shed {
+                    let job = match leaf.technique {
+                        Some(technique) => Job::Serve {
                             cluster: leaf.cluster,
-                        }
-                    } else {
-                        LeafRun::Serve {
+                            config,
+                            technique,
+                            share: &share,
+                        },
+                        None => Job::Shed {
                             cluster: leaf.cluster,
-                            config: domain.config.clone().unwrap_or_else(BackupConfig::min_cost),
-                            technique: leaf.technique.clone(),
-                            share: share.clone(),
-                        }
+                        },
                     };
-                    *index.entry(job_digest(&job)).or_insert_with(|| {
-                        jobs.push(job);
+                    index.get_or_insert(job_key(&job), || {
+                        jobs.push(job.to_run());
                         jobs.len() - 1
                     })
                 })
@@ -504,10 +513,45 @@ impl Planner {
     }
 }
 
+/// Job indices by job key, in open addressing over the key's low bits
+/// (the word-wise mixer spreads them). It is only looked up, never
+/// iterated, so its layout cannot reach the job order.
+struct JobIndex {
+    /// `(key, job)` pairs; `job == usize::MAX` marks an empty slot.
+    slots: Vec<(u128, usize)>,
+}
+
+impl JobIndex {
+    /// Room for `keys` keys at most half full.
+    fn with_capacity(keys: usize) -> Self {
+        Self {
+            slots: vec![(0, usize::MAX); (2 * keys).next_power_of_two()],
+        }
+    }
+
+    /// The job filed under `key`, or the one `new` files there.
+    fn get_or_insert(&mut self, key: u128, new: impl FnOnce() -> usize) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut slot = key as usize & mask;
+        loop {
+            let (filed, job) = self.slots[slot];
+            if job == usize::MAX {
+                let job = new();
+                self.slots[slot] = (key, job);
+                return job;
+            }
+            if filed == key {
+                return job;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+}
+
 /// The bottom-up combination pass: leaf outcomes → class parts → node
 /// parts, with per-level accounting and buffered trace events.
 struct Stitcher<'a> {
-    planner: &'a Planner,
+    planner: &'a Planner<'a>,
     results: &'a [SimOutcome],
     outage: Seconds,
     record: bool,
@@ -520,26 +564,24 @@ struct Stitcher<'a> {
 
 impl Stitcher<'_> {
     fn stitch(&mut self, plan: &PlanNode<'_>) -> Part {
+        let view = plan.view;
+        let node = view.node;
         let mut class_parts = Vec::with_capacity(plan.classes.len());
         let mut shed_servers = 0u64;
         for class in &plan.classes {
             let unit = match &class.kind {
-                ClassKind::Leaf {
-                    domain,
-                    pending,
-                    shed,
-                } => {
+                ClassKind::Leaf { domain, pending } => {
                     let leaf = &self.planner.domains[*domain].pending[*pending];
-                    if *shed {
+                    if leaf.technique.is_none() {
                         let servers = u64::from(leaf.cluster.size()) * plan.scale * class.copies;
                         shed_servers += servers;
                         if self.record {
                             self.events.push((
-                                plan.node.level.index(),
+                                node.level.index(),
                                 0,
                                 EventKind::TopoShed {
-                                    level: plan.node.level.name().into(),
-                                    name: plan.node.name.clone(),
+                                    level: node.level.name().into(),
+                                    name: node.name.clone(),
                                     servers,
                                 },
                             ));
@@ -563,12 +605,12 @@ impl Stitcher<'_> {
 
         if self.record {
             self.events.push((
-                plan.node.level.index(),
+                node.level.index(),
                 dcb_trace::micros(self.outage),
                 EventKind::TopoResolve {
-                    level: plan.node.level.name().into(),
-                    name: plan.node.name.clone(),
-                    multiplicity: plan.scale * u64::from(plan.node.multiplicity),
+                    level: node.level.name().into(),
+                    name: node.name.clone(),
+                    multiplicity: plan.scale * u64::from(view.multiplicity),
                     feasible: part.outcome.feasible,
                 },
             ));
@@ -576,11 +618,11 @@ impl Stitcher<'_> {
 
         let acc = self
             .levels
-            .entry(plan.node.level.index())
-            .or_insert_with(|| LevelAcc::new(plan.node.level));
+            .entry(node.level.index())
+            .or_insert_with(|| LevelAcc::new(node.level));
         acc.resolved_nodes += plan.classes.len() as u64;
-        acc.explicit_nodes += plan.scale * u64::from(plan.node.multiplicity);
-        acc.servers += plan.node.servers() * plan.scale;
+        acc.explicit_nodes += plan.scale * u64::from(view.multiplicity);
+        acc.servers += view.servers() * plan.scale;
         acc.shed_servers += shed_servers;
         acc.observe(&part.outcome);
         part
@@ -766,7 +808,7 @@ mod tests {
     use dcb_workload::Workload;
 
     #[test]
-    fn every_leaf_run_field_moves_the_job_digest() {
+    fn every_leaf_run_field_moves_the_job_key() {
         let cluster = Cluster::rack(Workload::specjbb());
         let serve = |cluster, config, technique, share| LeafRun::Serve {
             cluster,
@@ -837,14 +879,11 @@ mod tests {
                 },
             ),
         ];
-        assert_eq!(job_digest(&base()), job_digest(&base()));
+        let key = |run: &LeafRun| job_key(&Job::from(run));
+        assert_eq!(key(&base()), key(&base()));
         for (i, (name_a, a)) in variants.iter().enumerate() {
             for (name_b, b) in &variants[i + 1..] {
-                assert_ne!(
-                    job_digest(a),
-                    job_digest(b),
-                    "`{name_a}` and `{name_b}` share a digest"
-                );
+                assert_ne!(key(a), key(b), "`{name_a}` and `{name_b}` share a key");
             }
         }
     }
