@@ -187,16 +187,11 @@ fn parse_line(line: &str, line_no: usize, names: &NameTables) -> Result<Node, Sp
     };
     let mut tokens = line.split_whitespace();
     let level_token = tokens.next().unwrap_or("");
-    let level = match normalize(level_token).as_str() {
-        "dc" | "datacenter" => Level::Datacenter,
-        "cluster" => Level::Cluster,
-        "rack" => Level::Rack,
-        "server" => Level::Server,
-        other => {
-            return Err(err(format!(
-                "unknown level `{other}` (expected dc, cluster, rack, or server)"
-            )))
-        }
+    let Some(level) = lookup(&LEVELS, level_token).copied() else {
+        return Err(err(format!(
+            "unknown level `{}` (expected dc, cluster, rack, or server)",
+            normalize(level_token)
+        )));
     };
 
     let mut name: Option<String> = None;
@@ -214,7 +209,7 @@ fn parse_line(line: &str, line_no: usize, names: &NameTables) -> Result<Node, Sp
             match key {
                 "backup" => {
                     backup = Some(
-                        lookup(&names.configs, &normalize(value))
+                        lookup(&names.configs, value)
                             .ok_or_else(|| err(format!("unknown backup configuration `{value}`")))?
                             .clone(),
                     );
@@ -236,7 +231,7 @@ fn parse_line(line: &str, line_no: usize, names: &NameTables) -> Result<Node, Sp
                 }
                 "technique" => {
                     technique = Some(
-                        lookup(&names.techniques, &normalize(value))
+                        lookup(&names.techniques, value)
                             .ok_or_else(|| err(format!("unknown technique `{value}`")))?
                             .clone(),
                     );
@@ -254,12 +249,12 @@ fn parse_line(line: &str, line_no: usize, names: &NameTables) -> Result<Node, Sp
                         .parse()
                         .map_err(|_| err(format!("priority: not 0-255: `{value}`")))?;
                 }
-                "deficit" => match normalize(value).as_str() {
-                    "shed" => brownout = false,
-                    "brownout" => brownout = true,
-                    other => {
+                "deficit" => match lookup(&DEFICITS, value) {
+                    Some(&policy_is_brownout) => brownout = policy_is_brownout,
+                    None => {
                         return Err(err(format!(
-                            "deficit must be shed or brownout, got `{other}`"
+                            "deficit must be shed or brownout, got `{}`",
+                            normalize(value)
                         )))
                     }
                 },
@@ -312,18 +307,48 @@ fn parse_line(line: &str, line_no: usize, names: &NameTables) -> Result<Node, Sp
     Ok(node)
 }
 
-/// Lowercases and strips punctuation, so `Ride-Through`, `ridethrough`,
-/// and `RideThrough` all compare equal.
-fn normalize(s: &str) -> String {
-    s.chars()
-        .filter(char::is_ascii_alphanumeric)
-        .map(|c| c.to_ascii_lowercase())
-        .collect()
+/// The ASCII letters and digits of `s`, lowercased: what loose name
+/// matching compares, so `Ride-Through`, `ridethrough`, and `RideThrough`
+/// all compare equal.
+fn normalized(s: &str) -> impl Iterator<Item = u8> + '_ {
+    s.bytes()
+        .filter(u8::is_ascii_alphanumeric)
+        .map(|b| b.to_ascii_lowercase())
 }
+
+/// [`normalized`] as a string, for name tables and error messages.
+fn normalize(s: &str) -> String {
+    normalized(s).map(char::from).collect()
+}
+
+/// The level keywords under their normalized names.
+const LEVELS: [(&str, Level); 5] = [
+    ("dc", Level::Datacenter),
+    ("datacenter", Level::Datacenter),
+    ("cluster", Level::Cluster),
+    ("rack", Level::Rack),
+    ("server", Level::Server),
+];
+
+/// The `deficit=` values under their normalized names: whether each
+/// browns out.
+const DEFICITS: [(&str, bool); 2] = [("shed", false), ("brownout", true)];
+
+/// A workload constructor.
+type MakeWorkload = fn() -> Workload;
+
+/// The paper's four workloads under their normalized names.
+const WORKLOADS: [(&str, MakeWorkload); 5] = [
+    ("specjbb", Workload::specjbb),
+    ("websearch", Workload::web_search),
+    ("memcached", Workload::memcached),
+    ("speccpu", Workload::spec_cpu),
+    ("mcf", Workload::spec_cpu),
+];
 
 /// The Table-3 configurations and catalog techniques under their
 /// normalized names, in catalog order: built once per [`parse_spec`], so
-/// each line only normalizes its own tokens.
+/// each line only compares its own tokens.
 struct NameTables {
     configs: Vec<(String, BackupConfig)>,
     techniques: Vec<(String, Technique)>,
@@ -352,36 +377,31 @@ fn technique_table() -> Vec<(String, Technique)> {
         .collect()
 }
 
-/// The first entry filed under the normalized name `wanted`.
-fn lookup<'a, T>(table: &'a [(String, T)], wanted: &str) -> Option<&'a T> {
+/// The first entry filed under the normalized name of `raw`, compared
+/// without allocating.
+fn lookup<'a, N: AsRef<str>, T>(table: &'a [(N, T)], raw: &str) -> Option<&'a T> {
     table
         .iter()
-        .find(|(name, _)| name == wanted)
+        .find(|(name, _)| normalized(raw).eq(name.as_ref().bytes()))
         .map(|(_, value)| value)
 }
 
 /// Resolves a Table-3 configuration by normalized label.
 #[must_use]
 pub fn find_config(raw: &str) -> Option<BackupConfig> {
-    lookup(&config_table(), &normalize(raw)).cloned()
+    lookup(&config_table(), raw).cloned()
 }
 
 /// Resolves a catalog technique by normalized name.
 #[must_use]
 pub fn find_technique(raw: &str) -> Option<Technique> {
-    lookup(&technique_table(), &normalize(raw)).cloned()
+    lookup(&technique_table(), raw).cloned()
 }
 
 /// Resolves one of the paper's four workloads by normalized name.
 #[must_use]
 pub fn find_workload(raw: &str) -> Option<Workload> {
-    match normalize(raw).as_str() {
-        "specjbb" => Some(Workload::specjbb()),
-        "websearch" => Some(Workload::web_search()),
-        "memcached" => Some(Workload::memcached()),
-        "speccpu" | "mcf" => Some(Workload::spec_cpu()),
-        _ => None,
-    }
+    lookup(&WORKLOADS, raw).map(|make| make())
 }
 
 #[cfg(test)]
