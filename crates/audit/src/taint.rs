@@ -1,8 +1,9 @@
 //! The determinism-taint pass: find nondeterministic *sources* (hash
 //! iteration, wall-clock reads, thread ids, unordered reductions), follow
 //! them along the call graph, and report every path on which tainted data
-//! can reach a determinism *sink* (scenario digests, topology digests,
-//! telemetry snapshots, trace encoders, bench artifact writers).
+//! can reach a determinism *sink* (scenario digests, topology digests and
+//! merge/job keys, telemetry snapshots, trace encoders, bench artifact
+//! writers).
 //!
 //! The granularity is the function, not the value: if a fn's body contains
 //! a source, everything the fn computes is considered tainted, and every
@@ -143,7 +144,11 @@ fn sink_kind(f: &FnDef) -> Option<&'static str> {
     let n = f.name.as_str();
     match f.crate_name.as_str() {
         "fleet" if n == "digest" => Some("scenario-digest"),
-        "topology" if n == "unit_digest" || n == "collapse" => Some("topology-digest"),
+        // The published digest, and the in-resolve keys that decide which
+        // siblings merge and in which order deduplicated jobs run.
+        "topology" if matches!(n, "unit_digest" | "collapse" | "merge_key" | "job_key") => {
+            Some("topology-digest")
+        }
         "telemetry" if matches!(n, "snapshot" | "report" | "report_with" | "render") => {
             Some("telemetry-snapshot")
         }

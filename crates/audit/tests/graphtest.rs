@@ -95,6 +95,33 @@ fn engine_calendar_sink_is_detected() {
 }
 
 #[test]
+fn topology_key_sinks_are_detected() {
+    let report = graph::analyze_sources(vec![
+        load("graph_topology_sinks.rs", "topology"),
+        load("graph_taint_keys.rs", "power"),
+    ]);
+    let keys: Vec<&str> = report.findings.iter().map(|f| f.key.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "determinism-taint:topology::job_key:topology-digest:hash-iteration:power::first_size",
+            "determinism-taint:topology::job_key:topology-digest:wall-clock:power::jitter",
+            "determinism-taint:topology::merge_key:topology-digest:thread-id:power::worker_level",
+        ],
+        "findings: {:?}",
+        report.findings
+    );
+    for f in &report.findings {
+        assert!(f.path[0].detail.contains("sink"), "path: {:?}", f.path);
+        assert!(
+            f.path.last().is_some_and(|s| s.detail.contains("source: ")),
+            "path: {:?}",
+            f.path
+        );
+    }
+}
+
+#[test]
 fn sorted_chain_is_sanitized() {
     let report = analyze_with_sinks("graph_taint_sorted.rs");
     assert!(
