@@ -47,12 +47,13 @@ cargo test -q --release -p dcb-topology --test aggregation
 echo "== dcb-engine (calendar, EventTime and locate units + calendar stable-sort proptest)"
 cargo test -q -p dcb-engine
 
-echo "== golden digests (kernel trajectories, also fanned out over 1, 2 and 8 fleet threads, sizing search, the §7 adaptive controller and its stepped oracle, repro all output, and the observability outputs: the fig5 Chrome trace, the fig5-fig9 collapsed profile and telemetry JSON, the repro all Chrome trace and timeline, and the capped-feed repro topo Chrome trace, bit for bit)"
+echo "== golden digests (kernel trajectories, also fanned out over 1, 2 and 8 fleet threads, sizing search, the §7 adaptive controller and its stepped oracle, a 240-cluster facility resolved collapsed and flat on 1 and 2 fleet threads (facility_golden), repro all output, and the observability outputs: the fig5 Chrome trace, the fig5-fig9 collapsed profile and telemetry JSON, the repro all Chrome trace and timeline, and the capped-feed repro topo Chrome trace, bit for bit)"
 cargo test -q --release -p dcb-sim --test kernel_golden
 cargo test -q --release -p dcb-core --test sizing_golden
 cargo test -q --release -p dcb-core --lib -- sizing::tests::pruned_search sizing::tests::ups_cost_never_decreases_with_runtime
 cargo test -q --release -p dcb-core --test online_golden
 cargo test -q --release -p dcb-core --lib -- online::tests::event_driven_controller_tracks_the_stepped_loop online::tests::decisions_do_not_depend_on_the_outage_length
+cargo test -q --release -p dcb-topology --test facility_golden
 cargo test -q --release -p dcb-bench --test repro_golden
 cargo test -q --release -p dcb-bench --test observability_golden
 
