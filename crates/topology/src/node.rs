@@ -263,16 +263,6 @@ impl Node {
         self.unit_demand() * f64::from(self.multiplicity)
     }
 
-    /// Highest shedding priority (lowest number) of any consumer below one
-    /// copy — the key deficit allocation orders siblings by.
-    #[must_use]
-    pub fn priority(&self) -> u8 {
-        match &self.body {
-            Body::Consumer(c) => c.priority,
-            Body::Group(children) => children.iter().map(Node::priority).min().unwrap_or(u8::MAX),
-        }
-    }
-
     /// Total servers in all copies of this subtree.
     #[must_use]
     pub fn servers(&self) -> u64 {
@@ -687,6 +677,6 @@ mod tests {
         let high = Node::consumer("a", Level::Rack, consumer().with_priority(1));
         let low = Node::consumer("b", Level::Rack, consumer().with_priority(7));
         let group = Node::group("g", Level::Cluster, vec![low, high]);
-        assert_eq!(group.priority(), 1);
+        assert_eq!(crate::digest::View::merged(&group).priority, 1);
     }
 }
