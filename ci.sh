@@ -57,15 +57,29 @@ cargo test -q --release -p dcb-topology --test facility_golden
 cargo test -q --release -p dcb-bench --test repro_golden
 cargo test -q --release -p dcb-bench --test observability_golden
 
-echo "== digest grouping and hostile input: specs, JSON, collapsed profiles, trace lines and Chrome writer input (typed fingerprints group as Debug text does; no input panics a parser, accepted profiles and lines round-trip; the one-pass Chrome writer matches the writer it replaced byte for byte; exited threads' trace rings are dropped)"
+echo "== digest grouping and hostile input: specs, JSON, collapsed profiles and Chrome writer input (typed fingerprints group as Debug text does; no input panics a parser, accepted profiles round-trip; the one-pass Chrome writer matches the writer it replaced byte for byte; exited threads' trace rings are dropped)"
 cargo test -q --release -p dcb-fleet --test grouping
 cargo test -q --release -p dcb-topology --test grouping
 cargo test -q --release -p dcb-topology --test hostile_spec
 cargo test -q --release -p dcb-trace --test hostile_json
 cargo test -q --release -p dcb-prof --test roundtrip
-cargo test -q --release -p dcb-trace --test roundtrip
 cargo test -q --release -p dcb-trace --test chrome_oracle
 cargo test -q --release -p dcb-trace --lib -- ring::tests
+
+# The two bench smokes rewrite BENCH_engine.json and BENCH_topology.json
+# and append to BENCH_history.jsonl, which `repro perf validate` and
+# `repro perf check` then read. The committed files come back on exit,
+# whether the run is green, fails or is interrupted.
+bench_files=(BENCH_engine.json BENCH_topology.json BENCH_history.jsonl)
+bench_saved=$(mktemp -d)
+cp "${bench_files[@]}" "$bench_saved"
+restore_bench_files() {
+    for f in "${bench_files[@]}"; do cp "$bench_saved/$f" "$f"; done
+    rm -rf "$bench_saved"
+}
+trap restore_bench_files EXIT
+trap 'exit 130' INT
+trap 'exit 143' TERM
 
 echo "== engine bench smoke (event kernel vs stepped oracle)"
 DCB_ENGINE_BENCH_SMOKE=1 cargo bench -q -p dcb-bench --bench engine

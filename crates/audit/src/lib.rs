@@ -19,7 +19,7 @@
 //!    and call graph ([`callgraph`]) link every crate, and two
 //!    interprocedural passes chase what per-line lints cannot see:
 //!    [`taint`] follows nondeterminism from source fns to determinism
-//!    sinks (digests, snapshots, trace encoders) with full witness
+//!    sinks (digests, snapshots, trace exporters) with full witness
 //!    paths, and [`unitflow`] follows physical dimensions into raw-`f64`
 //!    laundering boundaries. Findings ratchet through a committed
 //!    [`baseline`] (`audit.baseline.json`) — only *new* findings fail.

@@ -249,7 +249,7 @@ const READ_SURFACES: [ReadSurface; 3] = [
     ReadSurface {
         plane: "dcb_telemetry",
         types: &["Snapshot"],
-        reads: &["snapshot", "report", "report_with"],
+        reads: &["snapshot", "report"],
         what: "telemetry",
     },
     ReadSurface {
@@ -395,6 +395,54 @@ mod tests {
             f.crate_name = crate_name.to_owned();
             let reads = "fn f() { let _ = (dcb_telemetry::report(), dcb_trace::drain(), dcb_prof::snapshot()); }";
             assert!(check_file(&f, &scan(reads)).is_empty(), "{crate_name}");
+        }
+    }
+
+    /// Every `pub <item kind> <name>` declared in a plane crate's sources.
+    fn pub_items(plane: &str) -> Vec<(String, String)> {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("..")
+            .join(plane.trim_start_matches("dcb_"))
+            .join("src");
+        let mut items = Vec::new();
+        for entry in std::fs::read_dir(&dir).expect("plane sources") {
+            let src = std::fs::read_to_string(entry.expect("entry").path()).expect("source");
+            for w in scan(&src).tokens.windows(3) {
+                if let (true, Some(kind), Some(name)) = (
+                    w[0].kind.is_ident("pub"),
+                    w[1].kind.ident(),
+                    w[2].kind.ident(),
+                ) {
+                    items.push((kind.to_owned(), name.to_owned()));
+                }
+            }
+        }
+        items
+    }
+
+    #[test]
+    fn read_surfaces_name_only_what_the_planes_declare() {
+        for surface in &READ_SURFACES {
+            let items = pub_items(surface.plane);
+            let declared = |kinds: [&str; 2], name: &str| {
+                items
+                    .iter()
+                    .any(|(kind, item)| item == name && kinds.contains(&kind.as_str()))
+            };
+            for read in surface.reads {
+                assert!(
+                    declared(["fn", "mod"], read),
+                    "`{}::{read}` is no pub fn or pub mod",
+                    surface.plane
+                );
+            }
+            for ty in surface.types {
+                assert!(
+                    declared(["struct", "enum"], ty),
+                    "`{}::{ty}` is no pub struct or enum",
+                    surface.plane
+                );
+            }
         }
     }
 

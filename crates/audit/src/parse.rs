@@ -998,11 +998,11 @@ mod tests {
     #[test]
     fn trait_methods_and_bodyless_signatures() {
         let p = parse_src(
-            "trait Sink { fn render(&self, s: &Snapshot) -> Option<String>; \
+            "trait Exporter { fn render(&self, s: &Snapshot) -> Option<String>; \
              fn ready(&self) -> bool { check() } }",
         );
         assert_eq!(p.fns.len(), 2);
-        assert_eq!(p.fns[0].qual.as_deref(), Some("Sink"));
+        assert_eq!(p.fns[0].qual.as_deref(), Some("Exporter"));
         assert!(p.fns[0].body.is_none());
         assert_eq!(p.fns[1].name, "ready");
         assert_eq!(p.fns[1].calls.len(), 1);

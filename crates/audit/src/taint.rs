@@ -2,7 +2,7 @@
 //! iteration, wall-clock reads, thread ids, unordered reductions), follow
 //! them along the call graph, and report every path on which tainted data
 //! can reach a determinism *sink* (scenario digests, topology digests and
-//! merge/job keys, telemetry snapshots, trace encoders, bench artifact
+//! merge/job keys, telemetry snapshots, trace exporters, bench artifact
 //! writers).
 //!
 //! The granularity is the function, not the value: if a fn's body contains
@@ -116,7 +116,9 @@ fn detect_sources(f: &FnDef, tokens: &[Token]) -> Vec<SourceSite> {
             });
         }
     }
-    if f.crate_name != "telemetry" {
+    // The span timer is the one sanctioned wall-clock read; the rest of
+    // telemetry, its renderers included, is held to the same rule.
+    if f.rel != "crates/telemetry/src/span.rs" {
         if let Some(line) = has_ident(tokens, &["Instant", "SystemTime"]) {
             sites.push(SourceSite {
                 kind: "wall-clock",
@@ -149,10 +151,8 @@ fn sink_kind(f: &FnDef) -> Option<&'static str> {
         "topology" if matches!(n, "unit_digest" | "collapse" | "merge_key" | "job_key") => {
             Some("topology-digest")
         }
-        "telemetry" if matches!(n, "snapshot" | "report" | "report_with" | "render") => {
-            Some("telemetry-snapshot")
-        }
-        "trace" if matches!(n, "encode" | "export" | "render" | "tally") => Some("trace-encode"),
+        "telemetry" if matches!(n, "snapshot" | "report") => Some("telemetry-snapshot"),
+        "trace" if matches!(n, "export" | "render" | "tally") => Some("trace-encode"),
         // The calendar orders whatever posts to it: tainted data in a
         // posted time, class, or token reorders events across runs.
         "engine" if n == "post" => Some("engine-calendar"),
@@ -533,20 +533,39 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_is_exempt_inside_telemetry() {
-        let findings = analyze(vec![
+    fn wall_clock_is_exempt_only_in_the_span_timer() {
+        let span = || {
             file(
                 "crates/telemetry/src/span.rs",
                 "telemetry",
                 "pub fn start() -> Instant { Instant::now() }\n\
                  pub fn snapshot() -> u32 { 0 }",
-            ),
+            )
+        };
+        let findings = analyze(vec![
+            span(),
             file(
-                "crates/trace/src/event.rs",
+                "crates/trace/src/chrome.rs",
                 "trace",
-                "impl Event { pub fn encode(&self) -> String { String::new() } }",
+                "pub fn export(events: &[Event]) -> String { String::new() }",
             ),
         ]);
         assert!(findings.is_empty(), "findings: {findings:?}");
+        // A read in telemetry's own rendering reaches the report.
+        let findings = analyze(vec![
+            span(),
+            file(
+                "crates/telemetry/src/lib.rs",
+                "telemetry",
+                "pub fn stamp() -> String { let _t = Instant::now(); String::new() }\n\
+                 pub fn report() -> Option<String> { Some(stamp()) }",
+            ),
+        ]);
+        assert_eq!(findings.len(), 1, "findings: {findings:?}");
+        assert!(
+            findings[0].key.contains("telemetry-snapshot"),
+            "{findings:?}"
+        );
+        assert!(findings[0].key.contains("wall-clock"), "{findings:?}");
     }
 }

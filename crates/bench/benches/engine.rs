@@ -185,7 +185,7 @@ fn render_history_line(mode: &str, measurements: &[Measurement], min_speedup: f6
 /// Runs every workload once through the kernel with collection enabled,
 /// under a per-workload span tree, and returns the full telemetry JSON.
 /// The timed measurements above run *before* this with collection disabled
-/// (the default), so the ≥5× floor always reflects NullSink-mode cost.
+/// (the default), so the ≥5× floor always reflects disabled-mode cost.
 fn instrumented_pass(workloads: &[(&'static str, &[Scenario])]) -> String {
     dcb_telemetry::registry().reset();
     dcb_telemetry::set_enabled(true);
@@ -203,7 +203,7 @@ fn instrumented_pass(workloads: &[(&'static str, &[Scenario])]) -> String {
 }
 
 fn main() {
-    // The timed sections must measure NullSink-mode cost (one branch per
+    // The timed sections must measure disabled-mode cost (one branch per
     // record site), whatever the environment says.
     dcb_telemetry::set_enabled(false);
     let smoke = std::env::var("DCB_ENGINE_BENCH_SMOKE").is_ok_and(|v| v == "1");

@@ -11,8 +11,8 @@ use dcb_bench::{all_exhibits, explain, extra_exhibits, perf, profile, tables, to
 use dcb_trace::TraceMode;
 
 fn main() {
-    // Enables metric collection when DCB_TELEMETRY=json|text; the default
-    // NullSink leaves every record site at one branch. Likewise the flight
+    // Enables metric collection when DCB_TELEMETRY=json|text; otherwise
+    // every record site stays at one branch. Likewise the flight
     // recorder via DCB_TRACE=chrome|timeline and the work-attribution
     // profiler via DCB_PROF=text|collapsed|svg.
     dcb_telemetry::init_from_env();
@@ -128,7 +128,7 @@ fn main() {
             },
         }
     }
-    // Under the default NullSink this renders nothing; with
+    // Without DCB_TELEMETRY this renders nothing; with
     // DCB_TELEMETRY=json the stable snapshot is byte-reproducible across
     // runs and DCB_THREADS settings (asserted by tests/telemetry_snapshot.rs).
     if let Some(report) = dcb_telemetry::report() {

@@ -252,6 +252,9 @@ mod tests {
         assert_eq!(run_cli(&["--sample".to_owned()]).unwrap(), SAMPLE_SPEC);
         assert!(run_cli(&[]).is_err());
         assert!(run_cli(&["/no/such/file.topo".to_owned()]).is_err());
+        let path = write_sample().display().to_string();
+        let err = run_cli(&[path, "1e306h".to_owned()]).unwrap_err();
+        assert!(err.contains("must be finite"), "{err}");
     }
 
     #[test]

@@ -66,10 +66,24 @@ fn json_snapshot_is_byte_identical_across_threads_and_runs() {
             "stdout drifted at DCB_THREADS={threads}"
         );
     }
+    // The value is trimmed and read in any ASCII case, as DCB_TRACE is.
+    assert_eq!(
+        repro_fig5("1", "JSON"),
+        reference,
+        "DCB_TELEMETRY=JSON differs from json"
+    );
 }
 
 #[test]
-fn null_sink_emits_no_snapshot() {
+fn text_prints_the_text_report() {
+    let text = String::from_utf8(repro_fig5("2", "text")).expect("stdout is utf-8");
+    assert!(text.contains("Figure 5"), "figure missing:\n{text}");
+    assert!(text.contains("dcb-telemetry report"), "no report:\n{text}");
+    assert!(text.contains("fleet.cache.misses"), "no counters:\n{text}");
+}
+
+#[test]
+fn unset_telemetry_emits_no_snapshot() {
     let text = String::from_utf8(repro_fig5("2", "")).expect("stdout is utf-8");
     assert!(text.contains("Figure 5"), "figure missing:\n{text}");
     assert!(!text.contains("dcb_telemetry"), "snapshot leaked:\n{text}");

@@ -8,15 +8,20 @@
 //! Wall-clock profilers answer "where did the nanoseconds go?" — an
 //! inherently scheduling-dependent question. This profiler answers
 //! "where did the *model work* go?": its weights are model-work units
-//! ([`WorkKind`] — engine calendar cycles, committed kernel segments,
+//! ([`WorkKind`] — kernel loop iterations, committed kernel segments,
 //! bisection iterations of the located-event root finder, topology
 //! node-steps, evaluation-cache misses), every one of which is a pure
 //! function of the evaluated workload. Cost hooks in `crates/engine`,
 //! `crates/sim`, `crates/topology`, and `crates/fleet` attribute each
-//! unit to a hierarchical frame path (lane → component → phase), so the
-//! resulting profile — exported as Brendan-Gregg [`collapsed`]-stack text
-//! or a self-contained [`svg`] flamegraph — is **byte-identical across
-//! `DCB_THREADS` settings** and across repeat runs.
+//! unit to the path of [`frame`]s open where it is recorded: the exhibit
+//! (opened by `repro profile`), then `sweep_configs`, `sweep_techniques`
+//! or `technique_tradeoffs` and `evaluate` (opened by `dcb-core`), then
+//! the hook's own frames — `engine;<owner>` for loop iterations,
+//! `sim-kernel;<end cause>` for segments, `locate`, `eval-cache` and
+//! `topo-resolve`. The resulting profile — exported as Brendan-Gregg
+//! [`collapsed`]-stack text or a self-contained [`svg`] flamegraph — is
+//! **byte-identical across `DCB_THREADS` settings** and across repeat
+//! runs.
 //!
 //! Each [`WorkKind`] mirrors one stable `dcb-telemetry` counter
 //! ([`WorkKind::counter_name`]); the `repro profile` subcommand asserts

@@ -75,9 +75,7 @@ fn trace_dg_milestones(backup: &BackupSystem, outage: Seconds, root: Option<u32>
     for (phase, at) in milestones.into_iter().flatten() {
         if at <= outage {
             dcb_trace::instant(Some(dcb_trace::micros(at)), root, || {
-                dcb_trace::EventKind::DgRampPhase {
-                    phase: phase.into(),
-                }
+                dcb_trace::EventKind::DgRampPhase { phase }
             });
         }
     }
@@ -333,7 +331,7 @@ impl OutageSim {
                     let end_us = dcb_trace::micros(end);
                     dcb_trace::complete(start_us, end_us.saturating_sub(start_us), t_root, || {
                         dcb_trace::EventKind::SegmentCommit {
-                            end_cause: ended_by.as_str().into(),
+                            end_cause: ended_by.as_str(),
                             load_mw: (load.value() * 1e3).round() as u64,
                             throughput_pm: (rate * 1e3).round() as u64,
                             in_downtime: down,
@@ -617,10 +615,7 @@ fn note_transition(from: &'static str, mode: &Mode, t: Seconds, root: Option<u32
     }
     if dcb_trace::enabled() {
         dcb_trace::instant(Some(dcb_trace::micros(t)), root, || {
-            dcb_trace::EventKind::TechniqueTransition {
-                from: from.into(),
-                to: to.into(),
-            }
+            dcb_trace::EventKind::TechniqueTransition { from, to }
         });
     }
     1

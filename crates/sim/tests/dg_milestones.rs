@@ -28,7 +28,7 @@ fn milestones(outage: Seconds) -> Vec<(String, Option<u64>)> {
     events
         .into_iter()
         .filter_map(|event| match event.kind {
-            EventKind::DgRampPhase { phase } => Some((phase.into_owned(), event.at_us)),
+            EventKind::DgRampPhase { phase } => Some((phase.to_owned(), event.at_us)),
             _ => None,
         })
         .collect()

@@ -22,10 +22,10 @@
 //!   lookups, bisection iterations. Their values are a pure function of
 //!   the evaluated scenario set, so for a fixed workload the stable
 //!   snapshot is byte-identical across runs and across `DCB_THREADS`
-//!   settings. The JSON sink renders *only* this class.
+//!   settings. The JSON report renders *only* this class.
 //! * **Volatile** metrics describe *scheduling* — per-worker task counts,
 //!   spawned workers, shard layouts. They legitimately vary with thread
-//!   count and are rendered only by the human-facing text sink (and the
+//!   count and are rendered only by the human-facing text report (and the
 //!   bench harness), never by the byte-compared JSON report.
 //!
 //! Span *structure* (paths and call counts) is stable; span *wall times*
@@ -36,12 +36,13 @@
 //!
 //! ## Cost when disabled
 //!
-//! Collection is off by default ([`NullSink`] semantics): every record
-//! operation is a single relaxed atomic load and branch, so instrumented
-//! hot paths stay within measurement noise of uninstrumented builds (the
-//! engine bench's ≥5× floor in `ci.sh` runs with collection disabled and
-//! guards exactly this). Enable with `DCB_TELEMETRY=json|text` (via
-//! [`init_from_env`]) or programmatically with [`set_enabled`].
+//! Collection is off by default: every record operation is a single
+//! relaxed atomic load and branch, so instrumented hot paths stay within
+//! measurement noise of uninstrumented builds (the engine bench's ≥5×
+//! floor in `ci.sh` runs with collection disabled and guards exactly
+//! this). Enable with `DCB_TELEMETRY=json|text` (via [`init_from_env`])
+//! or programmatically with [`set_enabled`]; [`report`] renders what the
+//! variable selects.
 //!
 //! ## Example
 //!
@@ -66,13 +67,11 @@
 mod counter;
 mod histogram;
 mod registry;
-mod sink;
 mod span;
 
 pub use counter::Counter;
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{registry, snapshot, Registry, Snapshot, SpanSnapshot, Stability};
-pub use sink::{report, report_with, sink_from_env, JsonSink, NullSink, Sink, SinkKind, TextSink};
 pub use span::{span, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -93,15 +92,49 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
+/// The report a `DCB_TELEMETRY` value selects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Format {
+    /// The stable subset as byte-reproducible JSON.
+    Json,
+    /// Everything, volatile metrics and span wall times included.
+    Text,
+}
+
+/// Reads a `DCB_TELEMETRY` value as `DCB_TRACE` and `DCB_PROF` are read,
+/// trimmed and in any ASCII case: `json` or `text`, else `None`.
+fn format(value: &str) -> Option<Format> {
+    match value.trim().to_ascii_lowercase().as_str() {
+        "json" => Some(Format::Json),
+        "text" => Some(Format::Text),
+        _ => None,
+    }
+}
+
+fn format_from_env() -> Option<Format> {
+    format(&std::env::var("DCB_TELEMETRY").ok()?)
+}
+
 /// Configures collection from the `DCB_TELEMETRY` environment variable:
-/// `json` or `text` enable collection (and select the [`report`] sink);
-/// anything else (or unset) leaves the default [`NullSink`] and collection
-/// disabled. Returns the selected sink kind. Binaries call this once at
-/// startup.
-pub fn init_from_env() -> SinkKind {
-    let kind = sink_from_env();
-    set_enabled(!matches!(kind, SinkKind::Null));
-    kind
+/// `json` or `text` enable collection and select what [`report`]
+/// renders; anything else (or unset) leaves collection disabled.
+/// Binaries call this once at startup.
+pub fn init_from_env() {
+    set_enabled(format_from_env().is_some());
+}
+
+/// Snapshots the global registry and renders it as `DCB_TELEMETRY`
+/// selects: [`Snapshot::to_stable_json`] for `json`, [`Snapshot::to_text`]
+/// for `text`. Returns `None` otherwise, so callers can skip printing
+/// entirely. The canonical end-of-run call for binaries.
+#[must_use]
+pub fn report() -> Option<String> {
+    let format = format_from_env()?;
+    let snapshot = snapshot();
+    Some(match format {
+        Format::Json => snapshot.to_stable_json(),
+        Format::Text => snapshot.to_text(),
+    })
 }
 
 /// Registers (or finds) the stable counter named by the literal, cached
@@ -190,6 +223,19 @@ mod tests {
             start.elapsed()
         );
         assert_eq!(c.peek(), 0);
+    }
+
+    #[test]
+    fn format_is_trimmed_and_ignores_ascii_case() {
+        for json in ["json", "JSON", " Json\n"] {
+            assert_eq!(format(json), Some(Format::Json), "{json:?}");
+        }
+        for text in ["text", "TEXT", "\ttext "] {
+            assert_eq!(format(text), Some(Format::Text), "{text:?}");
+        }
+        for off in ["", "0", "off", "jsonl", "js on"] {
+            assert_eq!(format(off), None, "{off:?}");
+        }
     }
 
     #[test]

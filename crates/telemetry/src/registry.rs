@@ -14,7 +14,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Whether a metric's value is a pure function of the evaluated workload
 /// (`Stable`) or may vary with scheduling, thread count, or the wall
-/// clock (`Volatile`). Declared at registration; the JSON sink renders
+/// clock (`Volatile`). Declared at registration; the JSON report renders
 /// only `Stable` metrics (see the crate docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stability {

@@ -580,7 +580,7 @@ impl Stitcher<'_> {
                                 node.level.index(),
                                 0,
                                 EventKind::TopoShed {
-                                    level: node.level.name().into(),
+                                    level: node.level.name(),
                                     name: node.name.clone(),
                                     servers,
                                 },
@@ -608,7 +608,7 @@ impl Stitcher<'_> {
                 node.level.index(),
                 dcb_trace::micros(self.outage),
                 EventKind::TopoResolve {
-                    level: node.level.name().into(),
+                    level: node.level.name(),
                     name: node.name.clone(),
                     multiplicity: plan.scale * u64::from(view.multiplicity),
                     feasible: part.outcome.feasible,

@@ -451,7 +451,7 @@ mod tests {
                 Some(0),
                 500_000,
                 EventKind::SegmentCommit {
-                    end_cause: "battery_depleted".into(),
+                    end_cause: "battery_depleted",
                     load_mw: 4_000_000,
                     throughput_pm: 1000,
                     in_downtime: false,
@@ -498,15 +498,15 @@ mod tests {
                 outage_us: u64::MAX,
             },
             EventKind::DgRampPhase {
-                phase: "fuel_exhausted".into(),
+                phase: "fuel_exhausted",
             },
             EventKind::BatteryDeplete,
             EventKind::TechniqueTransition {
-                from: "serving".into(),
-                to: "crashed".into(),
+                from: "serving",
+                to: "crashed",
             },
             EventKind::SegmentCommit {
-                end_cause: "migration_pause".into(),
+                end_cause: "migration_pause",
                 load_mw: u64::MAX,
                 throughput_pm: u64::MAX,
                 in_downtime: false,
@@ -523,13 +523,13 @@ mod tests {
                 feasible: false,
             },
             EventKind::TopoResolve {
-                level: "datacenter".into(),
+                level: "datacenter",
                 name: "row-7".to_owned(),
                 multiplicity: u64::MAX,
                 feasible: false,
             },
             EventKind::TopoShed {
-                level: "datacenter".into(),
+                level: "datacenter",
                 name: "batch".to_owned(),
                 servers: u64::MAX,
             },

@@ -59,7 +59,7 @@
 //!         outage_us: 1_000_000,
 //!     });
 //!     trace::complete(0, 1_000_000, root, || trace::EventKind::SegmentCommit {
-//!         end_cause: "outage_end".into(),
+//!         end_cause: "outage_end",
 //!         load_mw: 4_000_000,
 //!         throughput_pm: 1000,
 //!         in_downtime: false,

@@ -51,7 +51,7 @@ pub fn tally(events: &[Event]) -> TimelineTally {
             }
             energy += Watts::new(*load_mw as f64 / 1e3)
                 .for_duration(Seconds::new(event.dur_us as f64 / 1e6));
-            *causes.entry(end_cause.as_ref()).or_default() += 1;
+            *causes.entry(*end_cause).or_default() += 1;
         }
     }
     TimelineTally {
@@ -259,7 +259,7 @@ fn short_digest(digest: u128) -> u128 {
 mod tests {
     use super::*;
 
-    fn seg(seq: u32, at: u64, dur: u64, cause: &str, down: bool) -> Event {
+    fn seg(seq: u32, at: u64, dur: u64, cause: &'static str, down: bool) -> Event {
         Event {
             lane: 0,
             seq,
@@ -267,7 +267,7 @@ mod tests {
             at_us: Some(at),
             dur_us: dur,
             kind: EventKind::SegmentCommit {
-                end_cause: cause.to_owned().into(),
+                end_cause: cause,
                 load_mw: 2_000_000_000, // 2 MW
                 throughput_pm: 750,
                 in_downtime: down,

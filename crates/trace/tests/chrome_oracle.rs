@@ -8,7 +8,8 @@
 //! The lists cover every kind with payload strings from the hostile pool,
 //! inherit timestamps, lanes whose timestamps go backwards, input in and
 //! out of `(lane, seq)` order, duplicate `(lane, seq)` keys on the root
-//! lane, and batch lanes above 2^32.
+//! lane, and batch lanes above 2^32. A second proptest has
+//! `chrome::validate` accept the export of random events on a few lanes.
 
 mod common;
 
@@ -275,6 +276,42 @@ proptest! {
         // ... and in drain order, which the writer takes as it comes.
         events.sort_by_key(|e| (e.lane, e.seq));
         check(&events)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(768))]
+
+    #[test]
+    fn arbitrary_event_sets_export_valid_chrome_traces(
+        count in 0usize..40,
+        seed in 0u64..=u64::MAX,
+    ) {
+        let mut cursor = seed;
+        let mut next = || {
+            cursor = cursor.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1442695040888963407);
+            cursor
+        };
+        let mut events = Vec::with_capacity(count);
+        for i in 0..count {
+            let bits = next();
+            let number = next();
+            let at = next();
+            events.push(Event {
+                // A few lanes so the exporter exercises multiple tracks.
+                lane: (next() % 3) << 32,
+                seq: i as u32,
+                parent: (bits & 2 == 2).then_some((bits >> 2) as u32),
+                // Bounded timestamps keep f64 round-trips in the validator exact.
+                at_us: (at & 1 == 1).then_some((at >> 1) % (1 << 50)),
+                dur_us: next() % (1 << 50),
+                kind: kind_from((bits % 12) as u8, bits, number),
+            });
+        }
+        let document = chrome::export(&events);
+        let validated = chrome::validate(&document);
+        prop_assert!(validated.is_ok(), "invalid trace: {:?}", validated);
+        prop_assert_eq!(validated.unwrap(), events.len());
     }
 }
 

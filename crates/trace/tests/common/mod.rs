@@ -1,15 +1,35 @@
 //! Event generators shared by the property tests: payload strings drawn
-//! from a hostile character pool, and one of every event kind.
+//! from hostile pools, and one of every event kind.
 
 use dcb_trace::EventKind;
 
-/// Characters the escapers must handle: every escape class of the line
-/// encoding and of Chrome JSON (which also escapes `\r`) plus benign
-/// text, field-syntax look-alikes (`=`, space, `-`), and multi-byte
-/// unicode.
+/// Characters the Chrome escaper must handle: each of its escape classes
+/// (quote, backslash, `\n`, `\t`, `\r`, other control characters) plus
+/// benign text, JSON-syntax look-alikes and multi-byte unicode.
 const POOL: &[char] = &[
     'a', 'Z', '7', ' ', '"', '\\', '\n', '\t', '\r', '\u{1}', '\u{1f}', '=', '-', '{', '}', '±',
     '∞',
+];
+
+/// Fixed-vocabulary names (DG phases, technique modes, end causes,
+/// levels) are `&'static str`, so they come from this pool: every escape
+/// class alone and mixed with plain and multi-byte text.
+const NAMES: [&str; 15] = [
+    "",
+    "outage_end",
+    "\"",
+    "\\",
+    "\n",
+    "\t",
+    "\r",
+    "\u{1}",
+    "\u{1f}",
+    "±∞",
+    "a \"quoted\" \\ name",
+    "line\nbreak\ttab\rreturn",
+    "ctl\u{1}\u{1f}end",
+    "{\"k\":[-1]}",
+    "Z7 = -",
 ];
 
 /// Builds a string of up to 12 pool characters from 64 selector bits.
@@ -26,6 +46,11 @@ fn string_from(bits: u64) -> String {
     out
 }
 
+/// Picks one of the hostile names from 64 selector bits.
+fn name_from(bits: u64) -> &'static str {
+    NAMES[(bits.wrapping_mul(6_364_136_223_846_793_005) >> 33) as usize % NAMES.len()]
+}
+
 /// A digest from two selector words, covering both halves of the `u128`.
 fn digest_from(bits: u64, number: u64) -> u128 {
     u128::from(bits) << 64 | u128::from(number)
@@ -40,15 +65,15 @@ pub fn kind_from(selector: u8, bits: u64, number: u64) -> EventKind {
             outage_us: number,
         },
         1 => EventKind::DgRampPhase {
-            phase: string_from(bits).into(),
+            phase: name_from(bits),
         },
         2 => EventKind::BatteryDeplete,
         3 => EventKind::TechniqueTransition {
-            from: string_from(bits).into(),
-            to: string_from(bits.rotate_left(29)).into(),
+            from: name_from(bits),
+            to: name_from(bits.rotate_left(29)),
         },
         4 => EventKind::SegmentCommit {
-            end_cause: string_from(bits).into(),
+            end_cause: name_from(bits),
             load_mw: number,
             throughput_pm: number % 1001,
             in_downtime: bits & 1 == 1,
@@ -67,13 +92,13 @@ pub fn kind_from(selector: u8, bits: u64, number: u64) -> EventKind {
             feasible: bits & 1 == 0,
         },
         10 => EventKind::TopoResolve {
-            level: string_from(bits).into(),
+            level: name_from(bits),
             name: string_from(bits.rotate_left(11)),
             multiplicity: number,
             feasible: bits & 1 == 1,
         },
         _ => EventKind::TopoShed {
-            level: string_from(bits).into(),
+            level: name_from(bits),
             name: string_from(bits.rotate_left(23)),
             servers: number,
         },
