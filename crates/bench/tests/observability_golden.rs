@@ -9,7 +9,9 @@
 //! 5. the stdout of `DCB_TRACE=timeline repro all`;
 //! 6. the Chrome trace of `repro topo` on `fixtures/capped_feed.topo`, a
 //!    facility whose capped feed makes the resolver shed and brown out, so
-//!    it records `topo_resolve` and `topo_shed`.
+//!    it records `topo_resolve` and `topo_shed`;
+//! 7. the stdout of `DCB_TELEMETRY=json repro all`, which pins the work
+//!    counts of every exhibit, not only of Figures 5–9.
 //!
 //! Each output is byte-identical across `DCB_THREADS` settings
 //! (`trace_chrome`, `prof_profile` and `telemetry_snapshot` check that),
@@ -40,6 +42,8 @@ const CHROME_ALL: u128 = 0x1e68_e169_a219_6b18_f8d9_027c_44ad_4971;
 const TIMELINE_ALL: u128 = 0x5193_5917_83b7_c547_11d1_027f_addf_4383;
 /// Digest of the `repro topo fixtures/capped_feed.topo` Chrome trace.
 const CHROME_TOPO_CAPPED_FEED: u128 = 0xe467_d47a_d6d5_f3b8_409a_61ed_e12d_1e11;
+/// Digest of the `DCB_TELEMETRY=json repro all` stdout.
+const TELEMETRY_ALL: u128 = 0x89af_4ac7_3367_2c88_3b78_f93f_66e2_2693;
 
 const FIGURES: [&str; 5] = ["fig5", "fig6", "fig7", "fig8", "fig9"];
 
@@ -146,4 +150,10 @@ fn fig5_to_fig9_telemetry_json_matches_golden_digest() {
         "digest {got:#034x} over {} bytes",
         stdout.len()
     );
+}
+
+#[test]
+fn repro_all_telemetry_json_matches_golden_digest() {
+    let stdout = repro(&["all"], &[("DCB_TELEMETRY", "json".as_ref())]);
+    assert_digest(&stdout, TELEMETRY_ALL);
 }
