@@ -12,7 +12,7 @@ cargo clippy --workspace --all-targets -- -D warnings -A clippy::disallowed_type
 
 # The two fenced stages lint library and binary code only (`--lib` without
 # `--tests` leaves `#[cfg(test)]` code out); the vendored stubs are not ours.
-vendored=(--exclude criterion --exclude proptest --exclude rand --exclude serde --exclude serde_derive)
+vendored=(--exclude proptest --exclude rand --exclude serde --exclude serde_derive)
 
 echo "== cargo clippy, libraries and binaries: clippy.toml's disallowed types and methods (HashMap/HashSet, Instant/SystemTime, thread spawn/scope)"
 cargo clippy --workspace "${vendored[@]}" --lib --bins -- -D warnings -D clippy::disallowed_types -D clippy::disallowed_methods

@@ -163,7 +163,7 @@ mod tests {
             Some(Role::Test)
         );
         assert_eq!(
-            classify("crates/bench/benches/reproduce.rs"),
+            classify("crates/bench/benches/engine.rs"),
             Some(Role::Bench)
         );
         assert_eq!(classify("tests/paper_insights.rs"), Some(Role::Test));

@@ -2,10 +2,9 @@
 //! kernel on the workloads that dominate reproduction time — the Figure-5
 //! sweep grid and a Monte-Carlo batch of hour-scale outages.
 //!
-//! Unlike the criterion benches this harness must *record* its numbers:
-//! it writes `BENCH_engine.json` at the workspace root with per-workload
-//! wall times and speedups, and fails if the kernel is not at least 5×
-//! faster than the stepper. `DCB_ENGINE_BENCH_SMOKE=1` drops to a single
+//! It records its numbers: it writes `BENCH_engine.json` at the
+//! workspace root with per-workload wall times and speedups, and fails if
+//! the kernel is not at least 5× faster than the stepper. `DCB_ENGINE_BENCH_SMOKE=1` drops to a single
 //! repetition so CI can run it as a smoke stage.
 //!
 //! Run with `cargo bench -p dcb-bench --bench engine`.
@@ -134,12 +133,7 @@ fn measure(name: &'static str, scenarios: &[Scenario], reps: usize) -> Measureme
     }
 }
 
-fn render_json(
-    mode: &str,
-    measurements: &[Measurement],
-    min_speedup: f64,
-    telemetry: &str,
-) -> String {
+fn render_json(mode: &str, measurements: &[Measurement], min_speedup: f64) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"engine\",\n");
     out.push_str(&format!("  \"tag\": \"{BENCH_TAG}\",\n"));
@@ -157,11 +151,7 @@ fn render_json(
         ));
     }
     out.push_str("  ],\n");
-    out.push_str(&format!("  \"min_speedup\": {min_speedup},\n"));
-    // Full (volatile-inclusive) telemetry from a separate instrumented
-    // kernel pass — never from the timed sections above, which run with
-    // collection disabled to keep the speedup floor honest.
-    out.push_str(&format!("  \"telemetry\": {}\n", telemetry.trim_end()));
+    out.push_str(&format!("  \"min_speedup\": {min_speedup}\n"));
     out.push_str("}\n");
     out
 }
@@ -180,26 +170,6 @@ fn render_history_line(mode: &str, measurements: &[Measurement], min_speedup: f6
         "{{\"bench\": \"engine\", \"tag\": \"{BENCH_TAG}\", \"unix_s\": {unix_s}, \"mode\": \"{mode}\", \"min_speedup\": {min_speedup}, \"workloads\": [{}]}}\n",
         workloads.join(", ")
     )
-}
-
-/// Runs every workload once through the kernel with collection enabled,
-/// under a per-workload span tree, and returns the full telemetry JSON.
-/// The timed measurements above run *before* this with collection disabled
-/// (the default), so the ≥5× floor always reflects disabled-mode cost.
-fn instrumented_pass(workloads: &[(&'static str, &[Scenario])]) -> String {
-    dcb_telemetry::registry().reset();
-    dcb_telemetry::set_enabled(true);
-    {
-        let _engine = dcb_telemetry::span("engine");
-        for &(name, scenarios) in workloads {
-            let _workload = dcb_telemetry::span(name);
-            for s in scenarios {
-                black_box(s.sim.run(s.outage));
-            }
-        }
-    }
-    dcb_telemetry::set_enabled(false);
-    dcb_telemetry::snapshot().to_full_json()
 }
 
 fn main() {
@@ -240,8 +210,7 @@ fn main() {
         Err(_) => root,
     };
     let path = root.join("BENCH_engine.json");
-    let telemetry = instrumented_pass(&[("fig5_sweep", &fig5), ("two_hour_monte_carlo", &monte)]);
-    let json = render_json(mode, &measurements, min_speedup, &telemetry);
+    let json = render_json(mode, &measurements, min_speedup);
     if let Err(err) = std::fs::write(&path, json) {
         eprintln!("could not write {}: {err}", path.display());
         std::process::exit(1);

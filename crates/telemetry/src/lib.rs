@@ -25,8 +25,8 @@
 //!   settings. The JSON report renders *only* this class.
 //! * **Volatile** metrics describe *scheduling* — per-worker task counts,
 //!   spawned workers, shard layouts. They legitimately vary with thread
-//!   count and are rendered only by the human-facing text report (and the
-//!   bench harness), never by the byte-compared JSON report.
+//!   count and are rendered only by the human-facing text report, never
+//!   by the byte-compared JSON report.
 //!
 //! Span *structure* (paths and call counts) is stable; span *wall times*
 //! are volatile and quarantined the same way. Telemetry state lives

@@ -270,14 +270,19 @@ impl Snapshot {
         )
     }
 
-    fn render_json(&self, include_volatile: bool) -> String {
-        let keep = |s: Stability| include_volatile || s == Stability::Stable;
+    /// Renders the **stable** subset as JSON: stable counters and
+    /// histograms, derived ratios, and span paths + call counts (no wall
+    /// times, no volatile metrics). Byte-reproducible across runs and
+    /// `DCB_THREADS` settings for a fixed workload; safe to assert in
+    /// tests.
+    #[must_use]
+    pub fn to_stable_json(&self) -> String {
         let mut out = String::from("{\n  \"dcb_telemetry\": {\n");
         out.push_str("    \"counters\": {");
         let counters = self
             .counters
             .iter()
-            .filter(|(_, s, _)| keep(*s))
+            .filter(|(_, s, _)| *s == Stability::Stable)
             .map(|(name, _, value)| format!("\n      \"{}\": {value}", escape(name)))
             .collect::<Vec<_>>()
             .join(",");
@@ -294,7 +299,7 @@ impl Snapshot {
         let histograms = self
             .histograms
             .iter()
-            .filter(|(_, s, _)| keep(*s))
+            .filter(|(_, s, _)| *s == Stability::Stable)
             .map(|(name, _, h)| {
                 format!(
                     "\n      \"{}\": {}",
@@ -310,43 +315,17 @@ impl Snapshot {
             .spans
             .iter()
             .map(|span| {
-                if include_volatile {
-                    format!(
-                        "\n      {{\"path\":\"{}\",\"calls\":{},\"wall_ns\":{}}}",
-                        escape(&span.path),
-                        span.calls,
-                        span.wall_ns
-                    )
-                } else {
-                    format!(
-                        "\n      {{\"path\":\"{}\",\"calls\":{}}}",
-                        escape(&span.path),
-                        span.calls
-                    )
-                }
+                format!(
+                    "\n      {{\"path\":\"{}\",\"calls\":{}}}",
+                    escape(&span.path),
+                    span.calls
+                )
             })
             .collect::<Vec<_>>()
             .join(",");
         out.push_str(&spans);
         out.push_str("\n    ]\n  }\n}\n");
         out
-    }
-
-    /// Renders the **stable** subset as JSON: stable counters and
-    /// histograms, derived ratios, and span paths + call counts (no wall
-    /// times, no volatile metrics). Byte-reproducible across runs and
-    /// `DCB_THREADS` settings for a fixed workload; safe to assert in
-    /// tests.
-    #[must_use]
-    pub fn to_stable_json(&self) -> String {
-        self.render_json(false)
-    }
-
-    /// Renders everything as JSON, including volatile metrics and span
-    /// wall times. For bench reports and humans; **not** reproducible.
-    #[must_use]
-    pub fn to_full_json(&self) -> String {
-        self.render_json(true)
     }
 
     /// Renders a human-readable report, including volatile metrics and
@@ -433,7 +412,6 @@ mod tests {
         crate::set_enabled(false);
         let snap = snapshot();
         assert!(!snap.to_stable_json().contains("registry.test.volatile"));
-        assert!(snap.to_full_json().contains("registry.test.volatile"));
         assert!(snap.to_text().contains("registry.test.volatile"));
     }
 
