@@ -6,7 +6,12 @@
 //! dcbackup size <technique> <minutes> [--workload <name>]
 //! dcbackup availability <config> <technique> [--workload <name>] [--years <n>]
 //! dcbackup list
+//! dcbackup help
 //! ```
+//!
+//! A flag may stand anywhere after the command. A missing or extra
+//! argument, a flag without a value, a flag the command does not take, a
+//! repeated flag and an unknown command exit 2 with an `error:` line.
 
 use dcbackup::core::availability::analyze;
 use dcbackup::core::cost::CostModel;
@@ -15,6 +20,7 @@ use dcbackup::core::sizing::{min_cost_ups, SizingTargets};
 use dcbackup::core::{BackupConfig, Cluster, Technique};
 use dcbackup::units::{Kilowatts, Seconds};
 use dcbackup::workload::Workload;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 fn configs() -> Vec<BackupConfig> {
@@ -47,17 +53,48 @@ fn find_workload(name: &str) -> Option<Workload> {
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The `--flag value` pairs a command was given.
+type Flags = BTreeMap<&'static str, String>;
+
+/// Splits a command's arguments into its `N` positional arguments and
+/// the values of the flags it takes, from `flags`; a flag may stand
+/// anywhere. A flag without a value, a flag not in `flags`, a repeated
+/// flag and a missing or extra positional argument are errors.
+fn parse<const N: usize>(
+    args: &[String],
+    flags: &[&'static str],
+    usage: &str,
+) -> Result<([String; N], Flags), String> {
+    let mut positional = Vec::new();
+    let mut given = Flags::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            positional.push(arg.clone());
+            continue;
+        }
+        let Some(&flag) = flags.iter().find(|&&flag| flag == arg) else {
+            return Err(format!("unknown option '{arg}'; {usage}"));
+        };
+        let Some(value) = args.next().filter(|value| !value.starts_with("--")) else {
+            return Err(format!("{flag} needs a value; {usage}"));
+        };
+        if given.insert(flag, value.clone()).is_some() {
+            return Err(format!("{flag} given twice"));
+        }
+    }
+    let positional = <[String; N]>::try_from(positional).map_err(|got| match got.get(N) {
+        Some(extra) => format!("unexpected argument '{extra}'; {usage}"),
+        None => usage.to_owned(),
+    })?;
+    Ok((positional, given))
 }
 
-fn workload_arg(args: &[String]) -> Result<Workload, String> {
-    match flag_value(args, "--workload") {
+fn workload_arg(flags: &Flags) -> Result<Workload, String> {
+    match flags.get("--workload") {
         None => Ok(Workload::specjbb()),
         Some(name) => {
-            find_workload(&name).ok_or(format!("unknown workload '{name}' (see `dcbackup list`)"))
+            find_workload(name).ok_or(format!("unknown workload '{name}' (see `dcbackup list`)"))
         }
     }
 }
@@ -77,8 +114,8 @@ fn minutes_arg(raw: &str) -> Result<f64, String> {
 
 /// The `--peak-mw` datacenter peak (10 MW by default): finite and positive,
 /// also in watts.
-fn peak_arg(args: &[String]) -> Result<Kilowatts, String> {
-    let Some(raw) = flag_value(args, "--peak-mw") else {
+fn peak_arg(flags: &Flags) -> Result<Kilowatts, String> {
+    let Some(raw) = flags.get("--peak-mw") else {
         return Ok(Kilowatts::from_megawatts(10.0));
     };
     raw.parse::<f64>()
@@ -93,9 +130,13 @@ fn peak_arg(args: &[String]) -> Result<Kilowatts, String> {
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let command = args.first().map(String::as_str).unwrap_or("help");
+    let (command, args) = match args.split_first() {
+        Some((command, rest)) => (command.as_str(), rest),
+        None => ("help", &[][..]),
+    };
     match command {
         "list" => {
+            let ([], _) = parse(args, &[], "usage: dcbackup list")?;
             println!("configurations:");
             let model = CostModel::paper();
             for c in configs() {
@@ -113,11 +154,13 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "cost" => {
-            let name = args
-                .get(1)
-                .ok_or("usage: dcbackup cost <config> [--peak-mw <MW>]")?;
-            let config = find_config(name).ok_or(format!("unknown configuration '{name}'"))?;
-            let peak = peak_arg(&args)?;
+            let ([name], flags) = parse(
+                args,
+                &["--peak-mw"],
+                "usage: dcbackup cost <config> [--peak-mw <MW>]",
+            )?;
+            let config = find_config(&name).ok_or(format!("unknown configuration '{name}'"))?;
+            let peak = peak_arg(&flags)?;
             let model = CostModel::paper();
             let breakdown = model.annual_cost(&config, peak.to_watts());
             println!("{config}");
@@ -144,10 +187,11 @@ fn run() -> Result<(), String> {
         "simulate" => {
             let usage =
                 "usage: dcbackup simulate <config> <technique> <minutes> [--workload <name>]";
-            let config = find_config(args.get(1).ok_or(usage)?).ok_or("unknown configuration")?;
-            let technique = find_technique(args.get(2).ok_or(usage)?).ok_or("unknown technique")?;
-            let minutes = minutes_arg(args.get(3).ok_or(usage)?)?;
-            let cluster = Cluster::rack(workload_arg(&args)?);
+            let ([config, technique, minutes], flags) = parse(args, &["--workload"], usage)?;
+            let config = find_config(&config).ok_or("unknown configuration")?;
+            let technique = find_technique(&technique).ok_or("unknown technique")?;
+            let minutes = minutes_arg(&minutes)?;
+            let cluster = Cluster::rack(workload_arg(&flags)?);
             let p = evaluate(
                 &cluster,
                 &config,
@@ -181,9 +225,10 @@ fn run() -> Result<(), String> {
         }
         "size" => {
             let usage = "usage: dcbackup size <technique> <minutes> [--workload <name>]";
-            let technique = find_technique(args.get(1).ok_or(usage)?).ok_or("unknown technique")?;
-            let minutes = minutes_arg(args.get(2).ok_or(usage)?)?;
-            let cluster = Cluster::rack(workload_arg(&args)?);
+            let ([technique, minutes], flags) = parse(args, &["--workload"], usage)?;
+            let technique = find_technique(&technique).ok_or("unknown technique")?;
+            let minutes = minutes_arg(&minutes)?;
+            let cluster = Cluster::rack(workload_arg(&flags)?);
             match min_cost_ups(
                 &cluster,
                 &technique,
@@ -213,16 +258,18 @@ fn run() -> Result<(), String> {
         }
         "availability" => {
             let usage = "usage: dcbackup availability <config> <technique> [--workload <name>] [--years <n>]";
-            let config = find_config(args.get(1).ok_or(usage)?).ok_or("unknown configuration")?;
-            let technique = find_technique(args.get(2).ok_or(usage)?).ok_or("unknown technique")?;
-            let years: usize = flag_value(&args, "--years")
+            let ([config, technique], flags) = parse(args, &["--workload", "--years"], usage)?;
+            let config = find_config(&config).ok_or("unknown configuration")?;
+            let technique = find_technique(&technique).ok_or("unknown technique")?;
+            let years: usize = flags
+                .get("--years")
                 .map(|v| v.parse().map_err(|_| format!("bad --years '{v}'")))
                 .transpose()?
                 .unwrap_or(50);
             if years == 0 {
                 return Err("--years must be at least 1".into());
             }
-            let cluster = Cluster::rack(workload_arg(&args)?);
+            let cluster = Cluster::rack(workload_arg(&flags)?);
             let r = analyze(&cluster, &config, &technique, years, 2014);
             println!(
                 "{} + {} over {} sampled years ({}):",
@@ -245,7 +292,8 @@ fn run() -> Result<(), String> {
             println!("  state-loss rate      {:.0}%", r.state_loss_rate * 100.0);
             Ok(())
         }
-        _ => {
+        "help" | "--help" | "-h" => {
+            let ([], _) = parse(args, &[], "usage: dcbackup help")?;
             println!(
                 "dcbackup — datacenter backup-power underprovisioning framework\n\n\
                  commands:\n\
@@ -258,6 +306,7 @@ fn run() -> Result<(), String> {
             );
             Ok(())
         }
+        other => Err(format!("unknown command '{other}' (see `dcbackup help`)")),
     }
 }
 

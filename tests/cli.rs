@@ -1,5 +1,6 @@
-//! The `dcbackup` binary end to end: numeric arguments out of range are
-//! reported as errors, never as panics or nonsense figures.
+//! The `dcbackup` binary end to end: numeric arguments out of range and
+//! malformed command lines are reported as errors, never as panics,
+//! nonsense figures or a silent run with defaults.
 
 use std::process::{Command, Output};
 
@@ -8,6 +9,19 @@ fn dcbackup(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("dcbackup runs")
+}
+
+/// `dcbackup args` exits 2 with an `error:` line and prints no result.
+fn assert_rejected(args: &[&str]) {
+    let out = dcbackup(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(
+        stderr.lines().any(|line| line.starts_with("error: ")),
+        "{args:?}: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} printed a result");
 }
 
 #[test]
@@ -26,16 +40,65 @@ fn out_of_range_numbers_exit_2_with_an_error() {
         &["availability", "NoDG", "sleep", "--years", "0"],
     ];
     for args in cases {
-        let out = dcbackup(args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(
-            stderr.lines().any(|line| line.starts_with("error: ")),
-            "{args:?}: {stderr}"
-        );
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+        assert_rejected(args);
     }
+}
+
+#[test]
+fn malformed_command_lines_exit_2_with_an_error() {
+    let cases: [&[&str]; 10] = [
+        // A flag without a value.
+        &["simulate", "MaxPerf", "sleep", "5", "--workload"],
+        &["cost", "NoDG", "--peak-mw"],
+        &["availability", "NoDG", "sleep", "--years"],
+        // A flag the command does not take.
+        &["cost", "NoDG", "--bogus", "3"],
+        &["size", "sleep", "30", "--peak-mw", "5"],
+        // A repeated flag.
+        &[
+            "simulate",
+            "MaxPerf",
+            "sleep",
+            "5",
+            "--workload",
+            "memcached",
+            "--workload",
+            "specjbb",
+        ],
+        // An extra positional argument.
+        &["size", "sleep", "30", "extra"],
+        &["list", "extra"],
+        // An unknown command.
+        &["bogus"],
+        &["bogus", "--workload", "specjbb"],
+    ];
+    for args in cases {
+        assert_rejected(args);
+    }
+}
+
+#[test]
+fn a_flag_may_stand_before_the_positional_arguments() {
+    let after = dcbackup(&[
+        "simulate",
+        "MaxPerf",
+        "sleep",
+        "5",
+        "--workload",
+        "memcached",
+    ]);
+    let before = dcbackup(&[
+        "simulate",
+        "--workload",
+        "memcached",
+        "MaxPerf",
+        "sleep",
+        "5",
+    ]);
+    assert_eq!(after.status.code(), Some(0));
+    assert_eq!(before.status.code(), Some(0));
+    assert_eq!(before.stdout, after.stdout);
+    assert!(String::from_utf8_lossy(&after.stdout).contains(" on Memcached "));
 }
 
 #[test]
