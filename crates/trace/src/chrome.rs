@@ -146,8 +146,8 @@ fn payload_text_len(kind: &EventKind) -> usize {
 /// `track` is the lane's `","ph":"<X|i>","pid":1,"tid":<lane>,"ts":` text
 /// for this event's phase.
 fn write_event(out: &mut String, track: &str, ts: u64, event: &Event) {
-    // Each kind's `name` and `cat` text is one literal (`EventKind::name`
-    // and `EventKind::layer` spelled out, which the oracle test checks).
+    // Each kind's `name` and `cat` text is one literal; the oracle test
+    // checks them against its own table.
     macro_rules! head {
         ($name:literal, $layer:literal) => {
             out.push_str(concat!(",\n{\"name\":\"", $name, "\",\"cat\":\"", $layer))
@@ -554,8 +554,7 @@ mod tests {
             let document = export(&events);
             assert!(
                 document.len() <= bound,
-                "{}: {} bytes over a {bound}-byte reservation",
-                kind.name(),
+                "{kind:?}: {} bytes over a {bound}-byte reservation",
                 document.len()
             );
         }

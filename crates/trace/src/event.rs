@@ -122,41 +122,3 @@ pub enum EventKind {
         servers: u64,
     },
 }
-
-impl EventKind {
-    /// Stable wire name of the kind.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::OutageStart { .. } => "outage_start",
-            EventKind::DgRampPhase { .. } => "dg_ramp_phase",
-            EventKind::BatteryDeplete => "battery_deplete",
-            EventKind::TechniqueTransition { .. } => "technique_transition",
-            EventKind::SegmentCommit { .. } => "segment_commit",
-            EventKind::DustSnap => "dust_snap",
-            EventKind::CacheHit { .. } => "cache_hit",
-            EventKind::CacheMiss { .. } => "cache_miss",
-            EventKind::ShortfallRoot { .. } => "shortfall_root",
-            EventKind::Evaluate { .. } => "evaluate",
-            EventKind::TopoResolve { .. } => "topo_resolve",
-            EventKind::TopoShed { .. } => "topo_shed",
-        }
-    }
-
-    /// The workspace layer that records this kind (the Chrome `cat` field).
-    #[must_use]
-    pub fn layer(&self) -> &'static str {
-        match self {
-            EventKind::OutageStart { .. }
-            | EventKind::DgRampPhase { .. }
-            | EventKind::BatteryDeplete
-            | EventKind::TechniqueTransition { .. }
-            | EventKind::SegmentCommit { .. }
-            | EventKind::ShortfallRoot { .. } => "sim",
-            EventKind::DustSnap => "battery",
-            EventKind::CacheHit { .. } | EventKind::CacheMiss { .. } => "fleet",
-            EventKind::Evaluate { .. } => "core",
-            EventKind::TopoResolve { .. } | EventKind::TopoShed { .. } => "topology",
-        }
-    }
-}

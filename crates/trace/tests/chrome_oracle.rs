@@ -20,7 +20,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The grouping, twice-sorting writer `chrome::export` replaced, kept
-/// byte for byte apart from the digest, which it received as text.
+/// byte for byte apart from the digest, which it received as text, and
+/// the kinds' names and layers, which it spells out itself.
 fn oracle_export(events: &[Event]) -> String {
     // Group per lane and resolve inherit timestamps in sequence order.
     let mut lanes: BTreeMap<u64, Vec<(u64, &Event)>> = BTreeMap::new();
@@ -66,18 +67,31 @@ fn oracle_export(events: &[Event]) -> String {
 
 /// Appends one trace-event JSON object (no surrounding separators).
 fn write_event(out: &mut String, lane: u64, ts: u64, event: &Event) {
+    // The oracle's own table of each kind's `name` and `cat` (the layer
+    // that records it); a segment is named `seg:` and its end cause.
     out.push_str("{\"name\":\"");
-    match &event.kind {
+    let (name, cat) = match &event.kind {
         EventKind::SegmentCommit { end_cause, .. } => {
             out.push_str("seg:");
             escape_json_into(out, end_cause);
+            ("", "sim")
         }
-        kind => out.push_str(kind.name()),
-    }
+        EventKind::OutageStart { .. } => ("outage_start", "sim"),
+        EventKind::DgRampPhase { .. } => ("dg_ramp_phase", "sim"),
+        EventKind::BatteryDeplete => ("battery_deplete", "sim"),
+        EventKind::TechniqueTransition { .. } => ("technique_transition", "sim"),
+        EventKind::DustSnap => ("dust_snap", "battery"),
+        EventKind::CacheHit { .. } => ("cache_hit", "fleet"),
+        EventKind::CacheMiss { .. } => ("cache_miss", "fleet"),
+        EventKind::ShortfallRoot { .. } => ("shortfall_root", "sim"),
+        EventKind::Evaluate { .. } => ("evaluate", "core"),
+        EventKind::TopoResolve { .. } => ("topo_resolve", "topology"),
+        EventKind::TopoShed { .. } => ("topo_shed", "topology"),
+    };
+    out.push_str(name);
     let _ = write!(
         out,
-        "\",\"cat\":\"{}\",\"ph\":\"{}\",\"pid\":1,\"tid\":{lane},\"ts\":{ts}",
-        event.kind.layer(),
+        "\",\"cat\":\"{cat}\",\"ph\":\"{}\",\"pid\":1,\"tid\":{lane},\"ts\":{ts}",
         if event.dur_us > 0 { 'X' } else { 'i' }
     );
     if event.dur_us > 0 {
