@@ -15,7 +15,7 @@
 use dcb_fleet::FleetPool;
 use dcb_power::BackupConfig;
 use dcb_sim::Technique;
-use dcb_topology::{resolve_with, Aggregation, Topology};
+use dcb_topology::{resolve_with_evaluator, Aggregation, KernelEvaluator, Topology};
 use dcb_units::Seconds;
 use dcb_workload::Workload;
 use std::hint::black_box;
@@ -63,7 +63,10 @@ fn scenarios() -> Vec<Scenario> {
 fn time_resolve(s: &Scenario, pool: &FleetPool, mode: Aggregation, reps: usize) -> f64 {
     let start = Instant::now();
     for _ in 0..reps {
-        black_box(resolve_with(&s.topology, s.outage, pool, mode).expect("resolves"));
+        black_box(
+            resolve_with_evaluator(&s.topology, s.outage, pool, mode, &KernelEvaluator)
+                .expect("resolves"),
+        );
     }
     start.elapsed().as_secs_f64() / reps as f64
 }
@@ -85,9 +88,12 @@ impl Measurement {
 fn measure(s: &Scenario, pool: &FleetPool, reps: usize) -> Measurement {
     // Warm-up pass doubling as a differential check: both modes must agree
     // on the blended aggregate or the timing is meaningless.
-    let aggregated =
-        resolve_with(&s.topology, s.outage, pool, Aggregation::Collapsed).expect("resolves");
-    let flat = resolve_with(&s.topology, s.outage, pool, Aggregation::Flat).expect("resolves");
+    let resolve = |mode| {
+        resolve_with_evaluator(&s.topology, s.outage, pool, mode, &KernelEvaluator)
+            .expect("resolves")
+    };
+    let aggregated = resolve(Aggregation::Collapsed);
+    let flat = resolve(Aggregation::Flat);
     assert_eq!(
         aggregated.aggregate.feasible, flat.aggregate.feasible,
         "modes disagree on {}; benchmark numbers would be meaningless",

@@ -46,7 +46,5 @@ pub use digest::{collapse, unit_digest};
 pub use evaluate::{BackupShare, KernelEvaluator, LeafEvaluator, LeafRun};
 pub use node::{Body, Consumer, DeficitPolicy, Level, Node, Topology, TopologyError};
 pub use outcome::{LevelReport, ResolveStats, TopologyOutcome};
-pub use resolve::{
-    resolve, resolve_flat, resolve_with, resolve_with_evaluator, Aggregation, BROWNOUT_FLOOR,
-};
+pub use resolve::{resolve, resolve_with_evaluator, Aggregation, BROWNOUT_FLOOR};
 pub use spec::{parse_spec, SpecError};

@@ -67,42 +67,22 @@ pub enum Aggregation {
 /// Returns the [`TopologyError`] of the first structural invariant the
 /// topology violates.
 pub fn resolve(topology: &Topology, outage: Seconds) -> Result<TopologyOutcome, TopologyError> {
-    resolve_with(topology, outage, &FleetPool::new(), Aggregation::Collapsed)
+    resolve_with_evaluator(
+        topology,
+        outage,
+        &FleetPool::new(),
+        Aggregation::Collapsed,
+        &KernelEvaluator,
+    )
 }
 
-/// Resolves without aggregation: every explicit node is visited and every
-/// leaf copy simulated individually. Same semantics as [`resolve`] up to
-/// floating-point association order in heterogeneous blends.
-///
-/// # Errors
-///
-/// Returns the [`TopologyError`] of the first structural invariant the
-/// topology violates.
-pub fn resolve_flat(
-    topology: &Topology,
-    outage: Seconds,
-) -> Result<TopologyOutcome, TopologyError> {
-    resolve_with(topology, outage, &FleetPool::new(), Aggregation::Flat)
-}
-
-/// Full-control entry point: explicit pool and aggregation mode.
-///
-/// # Errors
-///
-/// Returns the [`TopologyError`] of the first structural invariant the
-/// topology violates.
-pub fn resolve_with(
-    topology: &Topology,
-    outage: Seconds,
-    pool: &FleetPool,
-    aggregation: Aggregation,
-) -> Result<TopologyOutcome, TopologyError> {
-    resolve_with_evaluator(topology, outage, pool, aggregation, &KernelEvaluator)
-}
-
-/// Resolves with an injected [`LeafEvaluator`]: the planner and stitcher
-/// run unchanged, but every distinct leaf class is evaluated through the
-/// given seam instead of the default outage kernel.
+/// Full-control entry point: explicit pool, aggregation mode and
+/// [`LeafEvaluator`]. The planner and stitcher are the same for every
+/// evaluator; [`KernelEvaluator`] runs each distinct leaf class through
+/// the outage kernel, as [`resolve`] does. [`Aggregation::Flat`] visits
+/// every explicit node and simulates every leaf copy individually: same
+/// semantics as the collapsed form up to floating-point association order
+/// in heterogeneous blends.
 ///
 /// # Errors
 ///

@@ -7,7 +7,8 @@ use dcb_fleet::FleetPool;
 use dcb_power::BackupConfig;
 use dcb_sim::{Cluster, Technique};
 use dcb_topology::{
-    resolve, resolve_with, Aggregation, Consumer, DeficitPolicy, Level, Node, Topology,
+    resolve, resolve_with_evaluator, Aggregation, Consumer, DeficitPolicy, KernelEvaluator, Level,
+    Node, Topology,
 };
 use dcb_units::Seconds;
 use dcb_workload::Workload;
@@ -85,12 +86,24 @@ proptest! {
         .with_backup(config);
         let topology = Topology::new(root);
         let outage = Seconds::new(duration);
-        let single = resolve_with(&topology, outage, &FleetPool::with_threads(1), Aggregation::Collapsed)
-            .expect("resolves");
+        let single = resolve_with_evaluator(
+            &topology,
+            outage,
+            &FleetPool::with_threads(1),
+            Aggregation::Collapsed,
+            &KernelEvaluator,
+        )
+        .expect("resolves");
         for threads in [2, 8] {
             let pool = FleetPool::with_threads(threads);
-            let multi = resolve_with(&topology, outage, &pool, Aggregation::Collapsed)
-                .expect("resolves");
+            let multi = resolve_with_evaluator(
+                &topology,
+                outage,
+                &pool,
+                Aggregation::Collapsed,
+                &KernelEvaluator,
+            )
+            .expect("resolves");
             prop_assert_eq!(&single, &multi, "threads={}", threads);
         }
     }
@@ -188,8 +201,14 @@ fn flat_and_aggregated_resolutions_agree() {
     );
     let outage = Seconds::new(1800.0);
     let aggregated = resolve(&topology, outage).expect("aggregated resolves");
-    let flat = resolve_with(&topology, outage, &FleetPool::new(), Aggregation::Flat)
-        .expect("flat resolves");
+    let flat = resolve_with_evaluator(
+        &topology,
+        outage,
+        &FleetPool::new(),
+        Aggregation::Flat,
+        &KernelEvaluator,
+    )
+    .expect("flat resolves");
 
     assert_eq!(aggregated.aggregate.feasible, flat.aggregate.feasible);
     assert_eq!(aggregated.aggregate.state_lost, flat.aggregate.state_lost);

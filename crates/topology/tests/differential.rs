@@ -9,10 +9,13 @@
 //! technique catalog × representative outage durations, plus a proptest
 //! over randomly drawn grid points and durations.
 
+use dcb_fleet::FleetPool;
 use dcb_power::BackupConfig;
 use dcb_server::ServerSpec;
 use dcb_sim::{Cluster, OutageSim, Technique};
-use dcb_topology::{resolve, resolve_flat, Consumer, Level, Node, Topology};
+use dcb_topology::{
+    resolve, resolve_with_evaluator, Aggregation, Consumer, KernelEvaluator, Level, Node, Topology,
+};
 use dcb_units::{Seconds, WattHours, Watts};
 use dcb_workload::Workload;
 use proptest::prelude::*;
@@ -87,7 +90,14 @@ fn single_path_flat_resolution_is_also_exact() {
         let expected =
             OutageSim::new(cluster, BackupConfig::small_pups(), technique.clone()).run(outage);
         let topology = Topology::single_path(cluster, BackupConfig::small_pups(), technique);
-        let outcome = resolve_flat(&topology, outage).expect("resolves");
+        let outcome = resolve_with_evaluator(
+            &topology,
+            outage,
+            &FleetPool::new(),
+            Aggregation::Flat,
+            &KernelEvaluator,
+        )
+        .expect("resolves");
         assert_eq!(outcome.aggregate, expected);
     }
 }
