@@ -35,8 +35,11 @@ cargo test -q --workspace
 echo "== cargo test -q --release --workspace (contracts off unless a test forces them on)"
 cargo test -q --release --workspace
 
-echo "== perfbench self-tests (benchmark build, output checks, exact count metrics)"
-cargo test -q --offline --manifest-path perfbench/Cargo.toml
+# --locked: a change that would rewrite perfbench/Cargo.lock (a crate the
+# benchmark builds gained or lost a dependency edge) fails here instead of
+# silently editing the benchmark's lock file.
+echo "== perfbench self-tests (benchmark build, output checks, exact count metrics; lock file unchanged)"
+cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "== topology differential tests (single-path == kernel, bit for bit)"
 cargo test -q --release -p dcb-topology --test differential
