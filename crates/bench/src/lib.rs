@@ -4,10 +4,11 @@
 //! Each `fig*`/`table*` function regenerates one exhibit of
 //! *Underprovisioning Backup Power Infrastructure for Datacenters*
 //! (ASPLOS 2014) from the models in this workspace and returns it as a
-//! formatted text block. The `repro` binary prints any subset
-//! (`cargo run -p dcb-bench --bin repro -- all`), and the `reproduce`
-//! bench target (`cargo bench`) prints everything and checks the paper's
-//! headline claims via [`verify`].
+//! formatted text block. The `repro` binary prints any subset;
+//! `cargo run -p dcb-bench --bin repro -- all` prints everything and
+//! checks the paper's headline claims via [`verify`], exiting 1 if one
+//! fails. The crate's two bench targets, `engine` and `topology`, are the
+//! speedup smokes CI gates on; `perfbench/` times the reproduction itself.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
