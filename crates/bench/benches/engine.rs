@@ -4,8 +4,9 @@
 //!
 //! It records its numbers: it writes `BENCH_engine.json` at the
 //! workspace root with per-workload wall times and speedups, and fails if
-//! the kernel is not at least 5× faster than the stepper. `DCB_ENGINE_BENCH_SMOKE=1` drops to a single
-//! repetition so CI can run it as a smoke stage.
+//! the kernel is not at least 5× faster than the stepper.
+//! `DCB_ENGINE_BENCH_SMOKE=1` drops to a single repetition so CI can run
+//! it as a smoke stage.
 //!
 //! Run with `cargo bench -p dcb-bench --bench engine`.
 
