@@ -55,16 +55,7 @@ fn malformed_command_lines_exit_2_with_an_error() {
         &["cost", "NoDG", "--bogus", "3"],
         &["size", "sleep", "30", "--peak-mw", "5"],
         // A repeated flag.
-        &[
-            "simulate",
-            "MaxPerf",
-            "sleep",
-            "5",
-            "--workload",
-            "memcached",
-            "--workload",
-            "specjbb",
-        ],
+        &["cost", "NoDG", "--peak-mw", "5", "--peak-mw", "6"],
         // An extra positional argument.
         &["size", "sleep", "30", "extra"],
         &["list", "extra"],
@@ -79,26 +70,12 @@ fn malformed_command_lines_exit_2_with_an_error() {
 
 #[test]
 fn a_flag_may_stand_before_the_positional_arguments() {
-    let after = dcbackup(&[
-        "simulate",
-        "MaxPerf",
-        "sleep",
-        "5",
-        "--workload",
-        "memcached",
-    ]);
-    let before = dcbackup(&[
-        "simulate",
-        "--workload",
-        "memcached",
-        "MaxPerf",
-        "sleep",
-        "5",
-    ]);
+    let after = dcbackup(&["cost", "NoDG", "--peak-mw", "5"]);
+    let before = dcbackup(&["cost", "--peak-mw", "5", "NoDG"]);
     assert_eq!(after.status.code(), Some(0));
     assert_eq!(before.status.code(), Some(0));
     assert_eq!(before.stdout, after.stdout);
-    assert!(String::from_utf8_lossy(&after.stdout).contains(" on Memcached "));
+    assert!(String::from_utf8_lossy(&after.stdout).contains("datacenter peak    5 MW"));
 }
 
 #[test]
