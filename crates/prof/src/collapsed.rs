@@ -1,4 +1,4 @@
-//! Brendan-Gregg collapsed-stack export and parse.
+//! Brendan-Gregg collapsed-stack export.
 //!
 //! One line per (stack, work-kind) pair with nonzero self weight:
 //!
@@ -18,10 +18,6 @@ use std::fmt::Write as _;
 
 /// Characters a frame name must avoid to keep the format unambiguous.
 const FORBIDDEN: [char; 6] = [';', ' ', '\t', '\n', '[', ']'];
-
-fn name_ok(name: &str) -> bool {
-    !name.is_empty() && !name.contains(FORBIDDEN)
-}
 
 /// Replaces any forbidden character with `_` so a hostile frame name
 /// degrades the display instead of corrupting the format.
@@ -69,87 +65,6 @@ pub fn render(profile: &Profile) -> String {
     out
 }
 
-/// One parsed collapsed-stack line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CollapsedLine {
-    /// The frame path, outermost first (empty for root-attributed work).
-    pub frames: Vec<String>,
-    /// Which work unit the weight counts.
-    pub kind: WorkKind,
-    /// The self weight.
-    pub weight: u64,
-}
-
-/// Parses collapsed-stack text back into lines, validating the format
-/// strictly (the proptest round-trip leans on this being exact).
-///
-/// # Errors
-///
-/// Returns a message naming the first offending line when a line lacks
-/// the bracketed kind leaf, carries an unknown kind label, has a
-/// malformed weight, or contains an illegal frame name.
-pub fn parse(text: &str) -> Result<Vec<CollapsedLine>, String> {
-    let mut out = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let n = lineno + 1;
-        if raw.is_empty() {
-            return Err(format!("line {n}: empty line"));
-        }
-        let (stack, weight_str) = raw
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("line {n}: missing weight separator"))?;
-        let weight: u64 = weight_str
-            .parse()
-            .map_err(|e| format!("line {n}: bad weight {weight_str:?}: {e}"))?;
-        let mut frames: Vec<String> = stack.split(';').map(str::to_string).collect();
-        let leaf = frames
-            .pop()
-            .ok_or_else(|| format!("line {n}: empty stack"))?;
-        let label = leaf
-            .strip_prefix('[')
-            .and_then(|s| s.strip_suffix(']'))
-            .ok_or_else(|| format!("line {n}: leaf {leaf:?} is not a [kind] frame"))?;
-        let kind = WorkKind::parse_label(label)
-            .ok_or_else(|| format!("line {n}: unknown work kind {label:?}"))?;
-        for frame in &frames {
-            if !name_ok(frame) {
-                return Err(format!("line {n}: illegal frame name {frame:?}"));
-            }
-        }
-        out.push(CollapsedLine {
-            frames,
-            kind,
-            weight,
-        });
-    }
-    Ok(out)
-}
-
-/// Re-encodes parsed lines, sorted, in the exact [`render`] format —
-/// the other half of the round-trip contract.
-#[must_use]
-pub fn encode(lines: &[CollapsedLine]) -> String {
-    let mut rendered: Vec<String> = lines
-        .iter()
-        .map(|l| {
-            let mut s = String::new();
-            for frame in &l.frames {
-                s.push_str(frame);
-                s.push(';');
-            }
-            let _ = write!(s, "[{}] {}", l.kind.label(), l.weight);
-            s
-        })
-        .collect();
-    rendered.sort_unstable();
-    let mut out = String::new();
-    for line in rendered {
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,16 +96,13 @@ mod tests {
     }
 
     #[test]
-    fn render_is_sorted_and_round_trips() {
-        let text = render(&sample());
+    fn render_is_sorted() {
         assert_eq!(
-            text,
+            render(&sample()),
             "[node-steps] 7\n\
              fig5;locate;[locate-iters] 30\n\
              fig5;sim-kernel;[segments] 1742\n"
         );
-        let parsed = parse(&text).unwrap();
-        assert_eq!(encode(&parsed), text);
     }
 
     #[test]
@@ -202,17 +114,6 @@ mod tests {
                 children: vec![leaf("a;b [x]", [1, 0, 0, 0, 0])],
             },
         };
-        let text = render(&profile);
-        assert_eq!(text, "a_b__x_;[cycles] 1\n");
-        parse(&text).unwrap();
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        assert!(parse("no-kind-leaf 5\n").is_err());
-        assert!(parse("a;[cycles] notanumber\n").is_err());
-        assert!(parse("a;[unknown-kind] 5\n").is_err());
-        assert!(parse("\n").is_err());
-        assert!(parse("a;[cycles]5\n").is_err());
+        assert_eq!(render(&profile), "a_b__x_;[cycles] 1\n");
     }
 }

@@ -38,9 +38,9 @@
 //!
 //! Collection is off by default: every hook pays one relaxed atomic load
 //! and a branch ([`enabled`]), mirroring the `dcb-telemetry`/`dcb-trace`
-//! discipline. Enable with `DCB_PROF=text|collapsed|svg` (via
-//! [`init_from_env`]) at binary edges, or programmatically with
-//! [`set_enabled`].
+//! discipline. `repro profile` switches it on with [`set_enabled`] for
+//! the exhibits it profiles; `DCB_PROF` only picks that report's format
+//! ([`mode_from_env`]).
 //!
 //! ## Read fence
 //!
@@ -106,20 +106,6 @@ pub enum ProfMode {
     Svg,
 }
 
-/// Reads `DCB_PROF` at a binary edge: any non-empty value other than
-/// `0`/`off`/`false` enables attribution, with the value also selecting
-/// the export format per [`mode_from_env`]. Mirrors the
-/// `dcb_telemetry::init_from_env` / `dcb_trace::init_from_env` pattern.
-pub fn init_from_env() {
-    match std::env::var("DCB_PROF") {
-        Ok(value) => {
-            let v = value.trim().to_ascii_lowercase();
-            set_enabled(!(v.is_empty() || v == "0" || v == "off" || v == "false"));
-        }
-        Err(_) => set_enabled(false),
-    }
-}
-
 /// Parses the `DCB_PROF` environment variable: `collapsed` or `svg`
 /// (case-insensitive) select a reproducible exporter; anything else (or
 /// unset) means the human [`ProfMode::Text`] report.
@@ -175,12 +161,6 @@ impl WorkKind {
         }
     }
 
-    /// Parses a [`Self::label`] back into its kind.
-    #[must_use]
-    pub fn parse_label(label: &str) -> Option<WorkKind> {
-        WorkKind::ALL.into_iter().find(|k| k.label() == label)
-    }
-
     /// The stable `dcb-telemetry` counter this kind mirrors — the
     /// reconciliation contract asserted by `repro profile`.
     #[must_use]
@@ -219,16 +199,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kinds_round_trip_and_are_distinct() {
+    fn kinds_are_distinct() {
         for kind in WorkKind::ALL {
-            assert_eq!(WorkKind::parse_label(kind.label()), Some(kind));
             assert!(!kind.counter_name().is_empty());
         }
         let mut labels: Vec<&str> = WorkKind::ALL.iter().map(|k| k.label()).collect();
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), WorkKind::ALL.len());
-        assert_eq!(WorkKind::parse_label("nope"), None);
     }
 
     #[test]
