@@ -2,11 +2,10 @@
 //! kernel on the workloads that dominate reproduction time — the Figure-5
 //! sweep grid and a Monte-Carlo batch of hour-scale outages.
 //!
-//! It records its numbers: it writes `BENCH_engine.json` at the
-//! workspace root with per-workload wall times and speedups, and fails if
-//! the kernel is not at least 5× faster than the stepper.
-//! `DCB_ENGINE_BENCH_SMOKE=1` drops to a single repetition so CI can run
-//! it as a smoke stage.
+//! It runs one repetition over 40 Monte-Carlo scenarios, appends one
+//! `"mode": "smoke"` line with the speedups to `BENCH_history.jsonl` at
+//! the workspace root, and fails if the kernel is not at least 5× faster
+//! than the stepper.
 //!
 //! Run with `cargo bench -p dcb-bench --bench engine`.
 
@@ -19,7 +18,7 @@ use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
 
-/// Implementation generation stamped into every report and history line.
+/// Implementation generation stamped into every history line.
 /// `engine-v3` runs the kernel as a segment loop and the stepper as a
 /// plain fixed-step loop; `engine-v2` ran both on the `dcb-engine`
 /// component core, so its ratios are not comparable; entries without a
@@ -60,7 +59,7 @@ fn fig5_scenarios() -> Vec<Scenario> {
 
 /// A Monte-Carlo batch of hour-scale outages: random Table-3 config,
 /// random technique, random duration in [1 h, 2 h]. Seeded xorshift so
-/// the batch is identical across runs and modes.
+/// the batch is identical across runs.
 fn monte_carlo_scenarios(count: usize) -> Vec<Scenario> {
     let cluster = Cluster::rack(Workload::specjbb());
     let configs = BackupConfig::table3();
@@ -85,15 +84,13 @@ fn monte_carlo_scenarios(count: usize) -> Vec<Scenario> {
         .collect()
 }
 
-/// Mean wall time per repetition of running every scenario through `f`.
-fn time_scenarios(scenarios: &[Scenario], reps: usize, f: impl Fn(&Scenario)) -> f64 {
+/// Wall time of running every scenario through `f` once.
+fn time_scenarios(scenarios: &[Scenario], f: impl Fn(&Scenario)) -> f64 {
     let start = Instant::now();
-    for _ in 0..reps {
-        for s in scenarios {
-            f(s);
-        }
+    for s in scenarios {
+        f(s);
     }
-    start.elapsed().as_secs_f64() / reps as f64
+    start.elapsed().as_secs_f64()
 }
 
 struct Measurement {
@@ -109,7 +106,7 @@ impl Measurement {
     }
 }
 
-fn measure(name: &'static str, scenarios: &[Scenario], reps: usize) -> Measurement {
+fn measure(name: &'static str, scenarios: &[Scenario]) -> Measurement {
     // Warm-up pass, and a cheap differential check while we are at it:
     // the two solvers must agree on feasibility or the timing is moot.
     for s in scenarios {
@@ -120,10 +117,10 @@ fn measure(name: &'static str, scenarios: &[Scenario], reps: usize) -> Measureme
             "solvers disagree on {name}; benchmark numbers would be meaningless"
         );
     }
-    let stepped_s = time_scenarios(scenarios, reps, |s| {
+    let stepped_s = time_scenarios(scenarios, |s| {
         black_box(s.sim.run_stepped(s.outage));
     });
-    let kernel_s = time_scenarios(scenarios, reps, |s| {
+    let kernel_s = time_scenarios(scenarios, |s| {
         black_box(s.sim.run(s.outage));
     });
     Measurement {
@@ -134,32 +131,9 @@ fn measure(name: &'static str, scenarios: &[Scenario], reps: usize) -> Measureme
     }
 }
 
-fn render_json(mode: &str, measurements: &[Measurement], min_speedup: f64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"engine\",\n");
-    out.push_str(&format!("  \"tag\": \"{BENCH_TAG}\",\n"));
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    out.push_str("  \"workloads\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"scenarios\": {}, \"stepped_s\": {}, \"kernel_s\": {}, \"speedup\": {}}}{}\n",
-            m.name,
-            m.scenarios,
-            m.stepped_s,
-            m.kernel_s,
-            m.speedup(),
-            if i + 1 < measurements.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"min_speedup\": {min_speedup}\n"));
-    out.push_str("}\n");
-    out
-}
-
 /// One-line JSONL record for `BENCH_history.jsonl`: enough to trend the
-/// speedup floor across commits without parsing the full report.
-fn render_history_line(mode: &str, measurements: &[Measurement], min_speedup: f64) -> String {
+/// speedup floor across commits.
+fn render_history_line(measurements: &[Measurement], min_speedup: f64) -> String {
     let unix_s = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
@@ -168,7 +142,7 @@ fn render_history_line(mode: &str, measurements: &[Measurement], min_speedup: f6
         .map(|m| format!("{{\"name\": \"{}\", \"speedup\": {}}}", m.name, m.speedup()))
         .collect();
     format!(
-        "{{\"bench\": \"engine\", \"tag\": \"{BENCH_TAG}\", \"unix_s\": {unix_s}, \"mode\": \"{mode}\", \"min_speedup\": {min_speedup}, \"workloads\": [{}]}}\n",
+        "{{\"bench\": \"engine\", \"tag\": \"{BENCH_TAG}\", \"unix_s\": {unix_s}, \"mode\": \"smoke\", \"min_speedup\": {min_speedup}, \"workloads\": [{}]}}\n",
         workloads.join(", ")
     )
 }
@@ -177,18 +151,12 @@ fn main() {
     // The timed sections must measure disabled-mode cost (one branch per
     // record site), whatever the environment says.
     dcb_telemetry::set_enabled(false);
-    let smoke = std::env::var("DCB_ENGINE_BENCH_SMOKE").is_ok_and(|v| v == "1");
-    let (mode, reps, mc_count) = if smoke {
-        ("smoke", 1, 40)
-    } else {
-        ("full", 5, 120)
-    };
 
     let fig5 = fig5_scenarios();
-    let monte = monte_carlo_scenarios(mc_count);
+    let monte = monte_carlo_scenarios(40);
     let measurements = [
-        measure("fig5_sweep", &fig5, reps),
-        measure("two_hour_monte_carlo", &monte, reps),
+        measure("fig5_sweep", &fig5),
+        measure("two_hour_monte_carlo", &monte),
     ];
     for m in &measurements {
         println!(
@@ -210,17 +178,8 @@ fn main() {
         Ok(resolved) => resolved,
         Err(_) => root,
     };
-    let path = root.join("BENCH_engine.json");
-    let json = render_json(mode, &measurements, min_speedup);
-    if let Err(err) = std::fs::write(&path, json) {
-        eprintln!("could not write {}: {err}", path.display());
-        std::process::exit(1);
-    }
-    println!("wrote {}", path.display());
-
-    // Append to the history log; BENCH_engine.json stays "latest only".
     let history_path = root.join("BENCH_history.jsonl");
-    let line = render_history_line(mode, &measurements, min_speedup);
+    let line = render_history_line(&measurements, min_speedup);
     let appended = std::fs::OpenOptions::new()
         .append(true)
         .create(true)

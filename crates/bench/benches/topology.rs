@@ -4,11 +4,10 @@
 //! resolves in a handful of node-steps instead of one per rack — so this
 //! harness records the speedup and fails if it ever drops below 10×.
 //!
-//! Like the engine harness it *records* its numbers: `BENCH_topology.json`
-//! at the workspace root holds the latest run, and one tagged line is
-//! appended to `BENCH_history.jsonl` (`"bench": "topology"`) so CI can
-//! trend the floor. `DCB_TOPOLOGY_BENCH_SMOKE=1` drops to a single
-//! repetition for the CI smoke stage.
+//! Like the engine harness it runs one repetition and *records* its
+//! numbers: one tagged `"mode": "smoke"` line is appended to
+//! `BENCH_history.jsonl` at the workspace root (`"bench": "topology"`) so
+//! CI can trend the floor.
 //!
 //! Run with `cargo bench -p dcb-bench --bench topology`.
 
@@ -59,16 +58,14 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-/// Mean wall time per repetition of resolving the scenario with `mode`.
-fn time_resolve(s: &Scenario, pool: &FleetPool, mode: Aggregation, reps: usize) -> f64 {
+/// Wall time of resolving the scenario once with `mode`.
+fn time_resolve(s: &Scenario, pool: &FleetPool, mode: Aggregation) -> f64 {
     let start = Instant::now();
-    for _ in 0..reps {
-        black_box(
-            resolve_with_evaluator(&s.topology, s.outage, pool, mode, &KernelEvaluator)
-                .expect("resolves"),
-        );
-    }
-    start.elapsed().as_secs_f64() / reps as f64
+    black_box(
+        resolve_with_evaluator(&s.topology, s.outage, pool, mode, &KernelEvaluator)
+            .expect("resolves"),
+    );
+    start.elapsed().as_secs_f64()
 }
 
 struct Measurement {
@@ -85,7 +82,7 @@ impl Measurement {
     }
 }
 
-fn measure(s: &Scenario, pool: &FleetPool, reps: usize) -> Measurement {
+fn measure(s: &Scenario, pool: &FleetPool) -> Measurement {
     // Warm-up pass doubling as a differential check: both modes must agree
     // on the blended aggregate or the timing is meaningless.
     let resolve = |mode| {
@@ -108,8 +105,8 @@ fn measure(s: &Scenario, pool: &FleetPool, reps: usize) -> Measurement {
         s.name
     );
 
-    let flat_s = time_resolve(s, pool, Aggregation::Flat, reps);
-    let aggregated_s = time_resolve(s, pool, Aggregation::Collapsed, reps);
+    let flat_s = time_resolve(s, pool, Aggregation::Flat);
+    let aggregated_s = time_resolve(s, pool, Aggregation::Collapsed);
     Measurement {
         name: s.name,
         racks: s.racks,
@@ -119,32 +116,9 @@ fn measure(s: &Scenario, pool: &FleetPool, reps: usize) -> Measurement {
     }
 }
 
-fn render_json(mode: &str, measurements: &[Measurement], min_speedup: f64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"topology\",\n");
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    out.push_str("  \"facilities\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"racks\": {}, \"resolved_nodes\": {}, \"flat_s\": {}, \"aggregated_s\": {}, \"speedup\": {}}}{}\n",
-            m.name,
-            m.racks,
-            m.resolved_nodes,
-            m.flat_s,
-            m.aggregated_s,
-            m.speedup(),
-            if i + 1 < measurements.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"min_speedup\": {min_speedup}\n"));
-    out.push_str("}\n");
-    out
-}
-
 /// One-line JSONL record for `BENCH_history.jsonl`, tagged with the bench
 /// name so per-bench floors can be greped out of the shared log.
-fn render_history_line(mode: &str, measurements: &[Measurement], min_speedup: f64) -> String {
+fn render_history_line(measurements: &[Measurement], min_speedup: f64) -> String {
     let unix_s = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
@@ -153,21 +127,16 @@ fn render_history_line(mode: &str, measurements: &[Measurement], min_speedup: f6
         .map(|m| format!("{{\"name\": \"{}\", \"speedup\": {}}}", m.name, m.speedup()))
         .collect();
     format!(
-        "{{\"bench\": \"topology\", \"unix_s\": {unix_s}, \"mode\": \"{mode}\", \"min_speedup\": {min_speedup}, \"facilities\": [{}]}}\n",
+        "{{\"bench\": \"topology\", \"unix_s\": {unix_s}, \"mode\": \"smoke\", \"min_speedup\": {min_speedup}, \"facilities\": [{}]}}\n",
         facilities.join(", ")
     )
 }
 
 fn main() {
     dcb_telemetry::set_enabled(false);
-    let smoke = std::env::var("DCB_TOPOLOGY_BENCH_SMOKE").is_ok_and(|v| v == "1");
-    let (mode, reps) = if smoke { ("smoke", 1) } else { ("full", 5) };
 
     let pool = FleetPool::new();
-    let measurements: Vec<Measurement> = scenarios()
-        .iter()
-        .map(|s| measure(s, &pool, reps))
-        .collect();
+    let measurements: Vec<Measurement> = scenarios().iter().map(|s| measure(s, &pool)).collect();
     for m in &measurements {
         println!(
             "topology/{}: {} racks -> {} node-steps, flat {:.4} s, aggregated {:.4} s, speedup {:.1}x",
@@ -189,16 +158,8 @@ fn main() {
         Ok(resolved) => resolved,
         Err(_) => root,
     };
-    let path = root.join("BENCH_topology.json");
-    let json = render_json(mode, &measurements, min_speedup);
-    if let Err(err) = std::fs::write(&path, json) {
-        eprintln!("could not write {}: {err}", path.display());
-        std::process::exit(1);
-    }
-    println!("wrote {}", path.display());
-
     let history_path = root.join("BENCH_history.jsonl");
-    let line = render_history_line(mode, &measurements, min_speedup);
+    let line = render_history_line(&measurements, min_speedup);
     let appended = std::fs::OpenOptions::new()
         .append(true)
         .create(true)
