@@ -10,6 +10,7 @@
 
 use dcb_power::BackupConfig;
 use dcb_sim::{Cluster, OutageSim, Technique, Trajectory};
+use dcb_topology::spec::{find_config, find_technique};
 use dcb_trace::timeline::TimelineTally;
 use dcb_units::Seconds;
 use dcb_workload::Workload;
@@ -77,51 +78,42 @@ pub fn parse_duration(raw: &str) -> Result<Seconds, String> {
         .ok_or_else(|| format!("duration `{raw}` must be finite and non-negative"))
 }
 
-/// Resolves a Table-3 configuration by label, case-insensitively.
+/// Resolves a Table-3 configuration by label, matched as a topology spec
+/// matches it ([`find_config`]).
 ///
 /// # Errors
 ///
 /// Lists the available labels when `name` matches none of them.
 pub fn resolve_config(name: &str) -> Result<BackupConfig, String> {
-    let table = BackupConfig::table3();
-    table
-        .iter()
-        .find(|config| config.label().eq_ignore_ascii_case(name))
-        .cloned()
-        .ok_or_else(|| {
-            format!(
-                "unknown config `{name}` (available: {})",
-                table
-                    .iter()
-                    .map(BackupConfig::label)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        })
+    find_config(name).ok_or_else(|| {
+        format!(
+            "unknown config `{name}` (available: {})",
+            BackupConfig::table3()
+                .iter()
+                .map(BackupConfig::label)
+                .collect::<Vec<_>>()
+                .join(", ")
+        )
+    })
 }
 
-/// Resolves a technique from the extended catalog by name,
-/// case-insensitively.
+/// Resolves a technique from the extended catalog by name, matched as a
+/// topology spec matches it ([`find_technique`]).
 ///
 /// # Errors
 ///
 /// Lists the available names when `name` matches none of them.
 pub fn resolve_technique(name: &str) -> Result<Technique, String> {
-    let catalog = Technique::extended_catalog();
-    catalog
-        .iter()
-        .find(|technique| technique.name().eq_ignore_ascii_case(name))
-        .cloned()
-        .ok_or_else(|| {
-            format!(
-                "unknown technique `{name}` (available: {})",
-                catalog
-                    .iter()
-                    .map(Technique::name)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        })
+    find_technique(name).ok_or_else(|| {
+        format!(
+            "unknown technique `{name}` (available: {})",
+            Technique::extended_catalog()
+                .iter()
+                .map(Technique::name)
+                .collect::<Vec<_>>()
+                .join(", ")
+        )
+    })
 }
 
 /// Runs the full subcommand: `explain <config> <technique> <duration>`.
@@ -185,8 +177,9 @@ mod tests {
     }
 
     #[test]
-    fn resolvers_are_case_insensitive_and_list_options() {
-        assert!(resolve_config("maxperf").is_ok() || resolve_config("MaxPerf").is_ok());
+    fn resolvers_match_loosely_and_list_options() {
+        assert!(resolve_config("max-perf").is_ok());
+        assert!(resolve_technique("Ride-Through").is_ok());
         let err = resolve_config("nope").unwrap_err();
         assert!(err.contains("available:"), "{err}");
         let err = resolve_technique("nope").unwrap_err();

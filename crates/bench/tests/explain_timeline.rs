@@ -3,13 +3,15 @@
 //! own trajectory — segment count and end-cause tallies exactly, downtime
 //! to the recorder's microsecond resolution. The explanation is the
 //! kernel's *actual* event stream, not a parallel re-derivation, so any
-//! disagreement is an instrumentation bug.
+//! disagreement is an instrumentation bug. The subcommand resolves its
+//! names as a topology spec does, and an unknown name exits 2.
 
 use dcb_bench::explain::explain_scenario;
 use dcb_power::BackupConfig;
 use dcb_sim::Technique;
 use dcb_units::Seconds;
 use std::collections::BTreeMap;
+use std::process::{Command, Output};
 use std::sync::Mutex;
 
 /// Serializes the tests in this file: `explain_scenario` toggles the
@@ -99,5 +101,29 @@ fn explain_leaves_tracing_disabled_and_buffers_empty() {
     assert!(
         dcb_trace::drain().is_empty(),
         "explain_scenario must not leak events outside its lane"
+    );
+}
+
+fn repro_explain(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("explain")
+        .args(args)
+        .output()
+        .expect("repro binary runs")
+}
+
+#[test]
+fn explain_matches_names_as_in_a_topology_spec() {
+    let loose = repro_explain(&["max-perf", "Ride-Through", "5m"]);
+    let exact = repro_explain(&["MaxPerf", "RideThrough", "5m"]);
+    assert_eq!(loose.status.code(), Some(0), "{loose:?}");
+    assert_eq!(loose.stdout, exact.stdout);
+
+    let unknown = repro_explain(&["max-perf", "Ride-Thru", "5m"]);
+    assert_eq!(unknown.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&unknown.stderr);
+    assert!(
+        stderr.contains("unknown technique `Ride-Thru` (available: Crash, RideThrough,"),
+        "{stderr}"
     );
 }

@@ -18,40 +18,11 @@ use dcbackup::core::cost::CostModel;
 use dcbackup::core::evaluate::evaluate;
 use dcbackup::core::sizing::{min_cost_ups, SizingTargets};
 use dcbackup::core::{BackupConfig, Cluster, Technique};
+use dcbackup::topology::spec::{find_config, find_technique, find_workload};
 use dcbackup::units::{Kilowatts, Seconds};
 use dcbackup::workload::Workload;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
-
-fn configs() -> Vec<BackupConfig> {
-    BackupConfig::table3()
-}
-
-fn techniques() -> Vec<Technique> {
-    Technique::extended_catalog()
-}
-
-fn find_config(name: &str) -> Option<BackupConfig> {
-    configs()
-        .into_iter()
-        .find(|c| c.label().eq_ignore_ascii_case(name))
-}
-
-fn find_technique(name: &str) -> Option<Technique> {
-    techniques()
-        .into_iter()
-        .find(|t| t.name().eq_ignore_ascii_case(name))
-}
-
-fn find_workload(name: &str) -> Option<Workload> {
-    match name.to_ascii_lowercase().as_str() {
-        "specjbb" => Some(Workload::specjbb()),
-        "websearch" | "web-search" => Some(Workload::web_search()),
-        "memcached" => Some(Workload::memcached()),
-        "speccpu" | "mcf" => Some(Workload::spec_cpu()),
-        _ => None,
-    }
-}
 
 /// The `--flag value` pairs a command was given.
 type Flags = BTreeMap<&'static str, String>;
@@ -139,7 +110,7 @@ fn run() -> Result<(), String> {
             let ([], _) = parse(args, &[], "usage: dcbackup list")?;
             println!("configurations:");
             let model = CostModel::paper();
-            for c in configs() {
+            for c in BackupConfig::table3() {
                 println!(
                     "  {:<20} normalized cost {:.2}",
                     c.label(),
@@ -147,7 +118,7 @@ fn run() -> Result<(), String> {
                 );
             }
             println!("techniques:");
-            for t in techniques() {
+            for t in Technique::extended_catalog() {
                 println!("  {}", t.name());
             }
             println!("workloads: specjbb, websearch, memcached, speccpu");

@@ -46,7 +46,7 @@ fn out_of_range_numbers_exit_2_with_an_error() {
 
 #[test]
 fn malformed_command_lines_exit_2_with_an_error() {
-    let cases: [&[&str]; 10] = [
+    let cases: [&[&str]; 13] = [
         // A flag without a value.
         &["simulate", "MaxPerf", "sleep", "5", "--workload"],
         &["cost", "NoDG", "--peak-mw"],
@@ -62,6 +62,10 @@ fn malformed_command_lines_exit_2_with_an_error() {
         // An unknown command.
         &["bogus"],
         &["bogus", "--workload", "specjbb"],
+        // An unknown configuration, technique or workload.
+        &["simulate", "max-perf-ups", "sleep", "5"],
+        &["simulate", "MaxPerf", "ride-thru", "5"],
+        &["size", "sleep", "30", "--workload", "quake"],
     ];
     for args in cases {
         assert_rejected(args);
@@ -76,6 +80,14 @@ fn a_flag_may_stand_before_the_positional_arguments() {
     assert_eq!(before.status.code(), Some(0));
     assert_eq!(before.stdout, after.stdout);
     assert!(String::from_utf8_lossy(&after.stdout).contains("datacenter peak    5 MW"));
+}
+
+#[test]
+fn names_match_as_in_a_topology_spec() {
+    let loose = dcbackup(&["simulate", "max-perf", "ride-through", "5"]);
+    let exact = dcbackup(&["simulate", "MaxPerf", "RideThrough", "5"]);
+    assert_eq!(loose.status.code(), Some(0), "{loose:?}");
+    assert_eq!(loose.stdout, exact.stdout);
 }
 
 #[test]
