@@ -33,7 +33,6 @@ mod hierarchy;
 mod placement;
 mod system;
 mod ups;
-mod utility;
 
 pub use config::BackupConfig;
 pub use diesel::{DgPhase, DieselGenerator};
@@ -41,4 +40,3 @@ pub use hierarchy::{ComponentKind, Overload, PowerNode, Redundancy};
 pub use placement::UpsPlacement;
 pub use system::{BackupSystem, ChargeProjection, EndurancePlan, ResidualPhase, Supply};
 pub use ups::Ups;
-pub use utility::{Ats, UtilityFeed};
