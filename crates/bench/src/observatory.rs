@@ -54,8 +54,6 @@ pub struct HistoryEntry {
     pub legacy: bool,
     /// Append timestamp (unix seconds).
     pub unix_s: u64,
-    /// Bench mode (`smoke` or `full`).
-    pub mode: String,
     /// The line's own minimum-speedup summary (cross-checked).
     pub min_speedup: f64,
     /// Per-workload `(name, speedup)` pairs; topology `facilities`
@@ -95,11 +93,11 @@ fn parse_entry(line: &str, line_no: usize) -> Result<HistoryEntry, String> {
     if unix_f < 0.0 || unix_f.fract() != 0.0 {
         return Err(format!("line {line_no}: \"unix_s\" is not a whole second"));
     }
-    let mode = json
-        .get("mode")
+    // Every line carries a string "mode" (always "smoke" now); nothing
+    // reads its value, but a line without it is a botched append.
+    json.get("mode")
         .and_then(Value::as_str)
-        .ok_or(format!("line {line_no}: missing string \"mode\""))?
-        .to_string();
+        .ok_or(format!("line {line_no}: missing string \"mode\""))?;
     let min_speedup = json
         .get("min_speedup")
         .and_then(Value::as_num)
@@ -165,7 +163,6 @@ fn parse_entry(line: &str, line_no: usize) -> Result<HistoryEntry, String> {
         tag,
         legacy,
         unix_s: unix_f as u64,
-        mode,
         min_speedup,
         workloads,
         line_no,
