@@ -45,8 +45,9 @@ echo "== perfbench self-tests (benchmark build, output checks, exact count metri
 cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
 
 # The two bench smokes append to BENCH_history.jsonl, which `repro perf
-# validate` and `repro perf check` then read. The committed file comes
-# back on exit, whether the run is green, fails or is interrupted.
+# validate` and `repro perf check` then read once both lines are in. The
+# committed file comes back on exit, whether the run is green, fails or is
+# interrupted.
 bench_saved=$(mktemp)
 cp BENCH_history.jsonl "$bench_saved"
 restore_bench_history() {
@@ -60,30 +61,20 @@ trap 'exit 143' TERM
 echo "== engine bench smoke (event kernel vs stepped oracle)"
 cargo bench -q -p dcb-bench --bench engine
 
-echo "== bench history schema validation after engine append (repro perf validate)"
-cargo run --release -q -p dcb-bench --bin repro -- perf validate
-
 echo "== topology bench smoke (aggregated vs flat resolution)"
 cargo bench -q -p dcb-bench --bench topology
 
-echo "== bench history schema validation after topology append (repro perf validate)"
+echo "== bench history schema validation after both appends (repro perf validate)"
 cargo run --release -q -p dcb-bench --bin repro -- perf validate
 
 echo "== ratcheted bench-history floors (repro perf check; supersedes the old 5x/10x greps)"
 cargo run --release -q -p dcb-bench --bin repro -- perf check
 
-echo "== dcb-audit check (workspace invariants)"
+echo "== dcb-audit check (token lints, call-graph passes, doc references; 10s budget)"
+audit_start=$(date +%s)
 cargo run --release -q -p dcb-audit -- check
-
-echo "== dcb-audit graph (call-graph passes vs audit.baseline.json, 10s budget)"
-graph_start=$(date +%s)
-cargo run --release -q -p dcb-audit -- graph
-graph_end=$(date +%s)
-graph_elapsed=$((graph_end - graph_start))
-test "$graph_elapsed" -le 10 || { echo "dcb-audit graph took ${graph_elapsed}s (> 10s budget)"; exit 1; }
-
-echo "== dcb-audit docs (markdown links + DESIGN.md section references)"
-cargo run --release -q -p dcb-audit -- docs
+audit_elapsed=$(($(date +%s) - audit_start))
+test "$audit_elapsed" -le 10 || { echo "dcb-audit check took ${audit_elapsed}s (> 10s budget)"; exit 1; }
 
 echo "== dcb-audit sweep (model contracts over the Table 3 grid)"
 cargo run --release -q -p dcb-audit -- sweep

@@ -17,8 +17,12 @@
 //! the per-PR issue) are excluded: they cite the *paper's* sections and
 //! external artifacts, not this repo's docs.
 
-use std::fmt;
+use crate::report::Finding;
+use crate::AuditError;
 use std::path::Path;
+
+/// The check name doc-reference findings carry.
+const CHECK: &str = "doc-ref";
 
 /// Top-level markdown files whose cross-references we own and verify.
 const DOC_FILES: &[&str] = &[
@@ -30,20 +34,13 @@ const DOC_FILES: &[&str] = &[
     "ROADMAP.md",
 ];
 
-/// One broken reference in a documentation file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DocFinding {
-    /// Path of the file containing the reference, relative to the root.
-    pub file: String,
-    /// 1-based line of the reference.
-    pub line: usize,
-    /// What is broken and why.
-    pub message: String,
-}
-
-impl fmt::Display for DocFinding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}: {}", self.file, self.line, self.message)
+fn finding(name: &str, line: usize, message: String) -> Finding {
+    Finding {
+        check: CHECK,
+        file: name.to_owned(),
+        line: u32::try_from(line).unwrap_or(u32::MAX),
+        message,
+        path: Vec::new(),
     }
 }
 
@@ -54,39 +51,29 @@ impl fmt::Display for DocFinding {
 ///
 /// # Errors
 ///
-/// Returns the underlying I/O error message if a present file cannot be
-/// read.
-pub fn check_docs(root: &Path) -> Result<Vec<DocFinding>, String> {
+/// Returns [`AuditError::Read`] if a present file cannot be read.
+pub fn check(root: &Path) -> Result<Vec<Finding>, AuditError> {
     let design = std::fs::read_to_string(root.join("DESIGN.md")).ok();
     let sections = design.as_deref().map(design_sections);
     let mut findings = Vec::new();
     for &name in DOC_FILES {
         let path = root.join(name);
         if !path.is_file() {
-            findings.push(DocFinding {
-                file: name.to_owned(),
-                line: 1,
-                message: "expected documentation file is missing".to_owned(),
-            });
+            findings.push(finding(
+                name,
+                1,
+                "expected documentation file is missing".to_owned(),
+            ));
             continue;
         }
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        findings.extend(check_doc(root, name, &text, sections.as_deref()));
+        let text =
+            std::fs::read_to_string(&path).map_err(|e| AuditError::Read(name.to_owned(), e))?;
+        findings.extend(check_links(root, name, &text));
+        if let Some(sections) = &sections {
+            findings.extend(check_section_refs(name, &text, sections));
+        }
     }
-    findings.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
     Ok(findings)
-}
-
-/// Checks one already-loaded doc. `sections` is the list of `## N.`
-/// numbers present in DESIGN.md, or `None` to skip section checking.
-#[must_use]
-pub fn check_doc(root: &Path, name: &str, text: &str, sections: Option<&[u32]>) -> Vec<DocFinding> {
-    let mut findings = check_links(root, name, text);
-    if let Some(sections) = sections {
-        findings.extend(check_section_refs(name, text, sections));
-    }
-    findings
 }
 
 /// Extracts the section numbers of `## N.` headings ("## 8. Lints" → 8).
@@ -148,7 +135,7 @@ pub fn heading_slugs(text: &str) -> Vec<String> {
 /// on disk, and a `#anchor` part must match a heading slug — of this doc
 /// for pure-anchor targets, of the referenced markdown file otherwise.
 /// External (`scheme://`, `mailto:`) targets are skipped.
-fn check_links(root: &Path, name: &str, text: &str) -> Vec<DocFinding> {
+fn check_links(root: &Path, name: &str, text: &str) -> Vec<Finding> {
     let mut findings = Vec::new();
     let own_slugs = heading_slugs(text);
     for (idx, line) in text.lines().enumerate() {
@@ -171,11 +158,11 @@ fn check_links(root: &Path, name: &str, text: &str) -> Vec<DocFinding> {
                 None => (target, None),
             };
             if !file_part.is_empty() && !root.join(file_part).exists() {
-                findings.push(DocFinding {
-                    file: name.to_owned(),
-                    line: idx + 1,
-                    message: format!("link target `{file_part}` does not exist"),
-                });
+                findings.push(finding(
+                    name,
+                    idx + 1,
+                    format!("link target `{file_part}` does not exist"),
+                ));
                 continue;
             }
             let Some(anchor) = anchor else { continue };
@@ -197,11 +184,11 @@ fn check_links(root: &Path, name: &str, text: &str) -> Vec<DocFinding> {
                     } else {
                         file_part
                     };
-                    findings.push(DocFinding {
-                        file: name.to_owned(),
-                        line: idx + 1,
-                        message: format!("anchor `#{anchor}` has no matching heading in {shown}"),
-                    });
+                    findings.push(finding(
+                        name,
+                        idx + 1,
+                        format!("anchor `#{anchor}` has no matching heading in {shown}"),
+                    ));
                 }
             }
         }
@@ -213,7 +200,7 @@ fn check_links(root: &Path, name: &str, text: &str) -> Vec<DocFinding> {
 /// self-reference; in any other doc only `DESIGN.md §N` (the qualifier may
 /// sit on the previous line after wrapping) points here — a bare `§N`
 /// elsewhere cites the paper and is left alone.
-fn check_section_refs(name: &str, text: &str, sections: &[u32]) -> Vec<DocFinding> {
+fn check_section_refs(name: &str, text: &str, sections: &[u32]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let self_doc = name == "DESIGN.md";
     for (pos, _) in text.match_indices('§') {
@@ -227,13 +214,11 @@ fn check_section_refs(name: &str, text: &str, sections: &[u32]) -> Vec<DocFindin
         let qualified = text[..pos].trim_end().ends_with("DESIGN.md");
         if (self_doc || qualified) && !sections.contains(&number) {
             let line = text[..pos].matches('\n').count() + 1;
-            findings.push(DocFinding {
-                file: name.to_owned(),
+            findings.push(finding(
+                name,
                 line,
-                message: format!(
-                    "section reference §{number} has no `## {number}.` heading in DESIGN.md"
-                ),
-            });
+                format!("section reference §{number} has no `## {number}.` heading in DESIGN.md"),
+            ));
         }
     }
     findings

@@ -72,14 +72,15 @@ pub fn check_file(file: &SourceFile, scanned: &ScannedFile) -> Vec<Finding> {
                 continue;
             }
             findings.push(Finding {
-                lint: spec.name,
+                check: spec.name,
                 file: file.rel.clone(),
                 line,
                 message,
+                path: Vec::new(),
             });
         }
     }
-    findings.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.lint.cmp(b.lint)));
+    findings.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.check.cmp(b.check)));
     findings
 }
 
@@ -323,7 +324,7 @@ mod tests {
     fn unit_leak_field_and_signature() {
         let findings = check("struct S { peak_watts: f64 }\nfn dollars_spent() -> f64 { 0.0 }");
         assert_eq!(findings.len(), 2);
-        assert!(findings.iter().all(|f| f.lint == "unit-leak"));
+        assert!(findings.iter().all(|f| f.check == "unit-leak"));
         // Wrapped types still count; unitless names do not.
         assert_eq!(check("fn f(kwh: Option<f64>) {}").len(), 1);
         assert!(check("fn f(ratio: f64) {}").is_empty());
@@ -374,7 +375,7 @@ mod tests {
         ] {
             let findings = check(read);
             assert_eq!(findings.len(), 1, "{read}: {findings:?}");
-            assert_eq!(findings[0].lint, "observe-in-result");
+            assert_eq!(findings[0].check, "observe-in-result");
         }
         // Recording is not a read.
         for record in [

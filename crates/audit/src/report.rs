@@ -1,23 +1,8 @@
-//! Findings and their rendering: human-readable text and a hand-rolled
-//! machine-readable JSON document (no serde dependency needed for a
-//! flat record shape).
+//! Findings, what one audit run covered, and the run's text rendering.
 
 use std::fmt::Write as _;
 
-/// One lint violation at a source location.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Finding {
-    /// Lint identifier (`unit-leak`, `float-cmp`, ...).
-    pub lint: &'static str,
-    /// Workspace-relative path.
-    pub file: String,
-    /// 1-based line number.
-    pub line: u32,
-    /// What was matched and why it is suspect.
-    pub message: String,
-}
-
-/// One hop of call-path evidence attached to a graph finding.
+/// One hop of a finding's witness path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathStep {
     /// Workspace-relative path of the step's file.
@@ -28,89 +13,92 @@ pub struct PathStep {
     pub detail: String,
 }
 
-/// One finding from an interprocedural pass (`determinism-taint` or
-/// `unit-flow`), with its full call-path evidence.
+/// One finding of any check: a token lint, a call-graph pass or the
+/// markdown-reference check.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GraphFinding {
-    /// Pass identifier (`determinism-taint`, `unit-flow`).
-    pub pass: &'static str,
-    /// Stable, line-number-free identity used by the baseline ratchet.
-    pub key: String,
-    /// Workspace-relative path of the primary site.
+pub struct Finding {
+    /// Check identifier (`unit-leak`, `determinism-taint`, `doc-ref`, ...).
+    pub check: &'static str,
+    /// Root-relative path.
     pub file: String,
-    /// 1-based line of the primary site.
+    /// 1-based line number.
     pub line: u32,
     /// What was found and why it is suspect.
     pub message: String,
-    /// Source→sink (or boundary→origin) call path, primary site first.
+    /// Source→sink (or boundary→origin) call path, primary site first;
+    /// empty for token lints and doc references.
     pub path: Vec<PathStep>,
 }
 
-/// Renders findings as one-per-line text, `path:line: [lint] message`.
+/// What the source walk covered.
+#[derive(Debug, Default, Clone)]
+pub struct Stats {
+    /// Source files analyzed.
+    pub files: usize,
+    /// Crates with at least one definition, sorted.
+    pub crates: Vec<String>,
+    /// Function definitions recovered.
+    pub fns: usize,
+    /// Distinct type names seen.
+    pub types: usize,
+    /// Call sites seen.
+    pub calls: usize,
+    /// Call sites resolved to at least one workspace definition.
+    pub resolved: usize,
+    /// Call edges in the graph.
+    pub edges: usize,
+}
+
+/// The result of one audit run.
+#[derive(Debug, Default)]
+pub struct Report {
+    /// What the source walk covered.
+    pub stats: Stats,
+    /// Every finding, sorted by file, then line, then check.
+    pub findings: Vec<Finding>,
+}
+
+/// Renders a run as text: one coverage line, then one
+/// `path:line: [check] message` line per finding with its witness path
+/// under it, then a summary line.
 #[must_use]
-pub fn render_text(findings: &[Finding]) -> String {
+pub fn render_text(report: &Report) -> String {
+    let s = &report.stats;
     let mut out = String::new();
-    for f in findings {
-        let _ = writeln!(out, "{}:{}: [{}] {}", f.file, f.line, f.lint, f.message);
+    let _ = writeln!(
+        out,
+        "audit: {} files, {} crates, {} fns, {} types; {}/{} calls resolved into {} edges",
+        s.files,
+        s.crates.len(),
+        s.fns,
+        s.types,
+        s.resolved,
+        s.calls,
+        s.edges,
+    );
+    for f in &report.findings {
+        let _ = writeln!(out, "{}:{}: [{}] {}", f.file, f.line, f.check, f.message);
+        for (i, step) in f.path.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "    #{} {}:{} {}",
+                i + 1,
+                step.file,
+                step.line,
+                step.detail
+            );
+        }
     }
-    if findings.is_empty() {
+    if report.findings.is_empty() {
         out.push_str("audit clean: no findings\n");
     } else {
         let _ = writeln!(
             out,
-            "{} finding{} (suppress intentional sites with `// dcb-audit: allow(<lint>, reason)`)",
-            findings.len(),
-            if findings.len() == 1 { "" } else { "s" },
+            "{} finding{} (suppress an intentional code site with `// dcb-audit: allow(<check>, reason)`)",
+            report.findings.len(),
+            if report.findings.len() == 1 { "" } else { "s" },
         );
     }
-    out
-}
-
-/// Renders findings as a JSON document:
-/// `{"findings": [{"lint": ..., "file": ..., "line": N, "message": ...}], "count": N}`.
-#[must_use]
-pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\n  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"lint\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
-            json_string(f.lint),
-            json_string(&f.file),
-            f.line,
-            json_string(&f.message),
-        );
-    }
-    if findings.is_empty() {
-        out.push(']');
-    } else {
-        out.push_str("\n  ]");
-    }
-    let _ = write!(out, ",\n  \"count\": {}\n}}\n", findings.len());
-    out
-}
-
-/// Escapes a string for JSON embedding.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -118,30 +106,38 @@ pub(crate) fn json_string(s: &str) -> String {
 mod tests {
     use super::*;
 
-    fn sample() -> Vec<Finding> {
-        vec![Finding {
-            lint: "float-cmp",
-            file: "crates/x/src/lib.rs".to_owned(),
-            line: 7,
-            message: "exact `==` on floating-point \"values\"".to_owned(),
-        }]
-    }
-
     #[test]
     fn text_shape() {
-        let text = render_text(&sample());
-        assert!(text.starts_with("crates/x/src/lib.rs:7: [float-cmp]"));
-        assert!(text.contains("1 finding "));
-        assert!(render_text(&[]).contains("audit clean"));
-    }
-
-    #[test]
-    fn json_escapes_and_counts() {
-        let json = render_json(&sample());
-        assert!(json.contains("\"count\": 1"));
-        assert!(json.contains("\\\"values\\\""));
-        let empty = render_json(&[]);
-        assert!(empty.contains("\"findings\": []"));
-        assert!(empty.contains("\"count\": 0"));
+        let step = |line| PathStep {
+            file: "crates/x/src/lib.rs".to_owned(),
+            line,
+            detail: "hop".to_owned(),
+        };
+        let report = Report {
+            stats: Stats::default(),
+            findings: vec![Finding {
+                check: "determinism-taint",
+                file: "crates/x/src/lib.rs".to_owned(),
+                line: 7,
+                message: "wall-clock reaches a digest".to_owned(),
+                path: vec![step(7), step(3)],
+            }],
+        };
+        let text = render_text(&report);
+        assert!(text.starts_with("audit: 0 files"), "{text}");
+        assert!(
+            text.contains("\ncrates/x/src/lib.rs:7: [determinism-taint] wall-clock"),
+            "{text}"
+        );
+        assert!(
+            text.contains("\n    #1 crates/x/src/lib.rs:7 hop\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("\n    #2 crates/x/src/lib.rs:3 hop\n"),
+            "{text}"
+        );
+        assert!(text.contains("1 finding "), "{text}");
+        assert!(render_text(&Report::default()).ends_with("audit clean: no findings\n"));
     }
 }

@@ -7,8 +7,8 @@
 //! prefers same-crate definitions before falling back to the whole
 //! workspace. Calls that resolve to nothing (std, vendored stubs,
 //! macro-generated fns) simply produce no edges. The taint pass wants
-//! soundness-ish coverage, and the baseline ratchet absorbs the noise an
-//! over-approximation produces.
+//! soundness-ish coverage, and an inline `allow` with its reason accepts
+//! the noise an over-approximation produces.
 
 use crate::parse::{CallSite, FnItem, Param, ParsedFile};
 use crate::walk::{Role, SourceFile};
@@ -48,8 +48,8 @@ pub struct FnDef {
 }
 
 impl FnDef {
-    /// `crate::Type::name` / `crate::name` — the stable human- and
-    /// baseline-facing identifier for this definition.
+    /// `crate::Type::name` / `crate::name` — the stable identifier that
+    /// findings and their keys name this definition by.
     #[must_use]
     pub fn qualified(&self) -> String {
         match &self.qual {

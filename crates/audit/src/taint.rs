@@ -9,8 +9,8 @@
 //! a source, everything the fn computes is considered tainted, and every
 //! caller of a tainted fn is tainted in turn (data escapes through return
 //! values and out-params alike). That is a deliberate over-approximation —
-//! the baseline ratchet absorbs the noise, and the witness path attached
-//! to each finding makes triage cheap.
+//! an inline `allow` with its reason accepts a false positive, and the
+//! witness path attached to each finding makes triage cheap.
 //!
 //! Two escape hatches keep the pass honest about sanctioned patterns:
 //!
@@ -23,7 +23,7 @@
 
 use crate::callgraph::CallGraph;
 use crate::lexer::{ScannedFile, Token};
-use crate::report::{GraphFinding, PathStep};
+use crate::report::{Finding, PathStep};
 use crate::symbols::{FnDef, SymbolTable};
 use crate::walk::Role;
 use std::collections::{BTreeMap, VecDeque};
@@ -181,8 +181,14 @@ fn reportable(f: &FnDef) -> bool {
 }
 
 /// Runs the pass. `scanned` must parallel the symbol table's file order.
+/// Findings come back keyed, and so deduplicated and sorted, by a stable
+/// line-number-free identity.
 #[must_use]
-pub fn run(table: &SymbolTable, graph: &CallGraph, scanned: &[ScannedFile]) -> Vec<GraphFinding> {
+pub fn run(
+    table: &SymbolTable,
+    graph: &CallGraph,
+    scanned: &[ScannedFile],
+) -> BTreeMap<String, Finding> {
     let n = table.fns.len();
     let mut sources: Vec<Vec<SourceSite>> = vec![Vec::new(); n];
     let mut sanitizer = vec![false; n];
@@ -249,8 +255,8 @@ pub fn run(table: &SymbolTable, graph: &CallGraph, scanned: &[ScannedFile]) -> V
 
     let allowed = |file: usize, line: u32| scanned[file].allowed(PASS, line);
 
-    let mut findings: BTreeMap<String, GraphFinding> = BTreeMap::new();
-    let mut push = |key: String, finding: GraphFinding| {
+    let mut findings: BTreeMap<String, Finding> = BTreeMap::new();
+    let mut push = |key: String, finding: Finding| {
         findings.entry(key).or_insert(finding);
     };
 
@@ -298,9 +304,8 @@ pub fn run(table: &SymbolTable, graph: &CallGraph, scanned: &[ScannedFile]) -> V
                 ),
             }];
             path.extend(tail);
-            let finding = GraphFinding {
-                pass: PASS,
-                key: key.clone(),
+            let finding = Finding {
+                check: PASS,
                 file: caller.rel.clone(),
                 line: edge.line,
                 message: format!(
@@ -344,9 +349,8 @@ pub fn run(table: &SymbolTable, graph: &CallGraph, scanned: &[ScannedFile]) -> V
         }];
         path.extend(tail);
         path.dedup();
-        let finding = GraphFinding {
-            pass: PASS,
-            key: key.clone(),
+        let finding = Finding {
+            check: PASS,
             file: f.rel.clone(),
             line,
             message: format!(
@@ -359,12 +363,12 @@ pub fn run(table: &SymbolTable, graph: &CallGraph, scanned: &[ScannedFile]) -> V
         push(key, finding);
     }
 
-    findings.into_values().collect()
+    findings
 }
 
 #[allow(clippy::too_many_arguments)]
 fn emit_sink_self(
-    push: &mut impl FnMut(String, GraphFinding),
+    push: &mut impl FnMut(String, Finding),
     table: &SymbolTable,
     sink: &FnDef,
     _sid: usize,
@@ -390,9 +394,8 @@ fn emit_sink_self(
     }];
     path.extend(steps);
     path.dedup();
-    let finding = GraphFinding {
-        pass: PASS,
-        key: key.clone(),
+    let finding = Finding {
+        check: PASS,
         file: sink.rel.clone(),
         line: sink.line,
         message: format!(
@@ -430,7 +433,7 @@ mod tests {
         )
     }
 
-    fn analyze(files: Vec<(SourceFile, ScannedFile, ParsedFile)>) -> Vec<GraphFinding> {
+    fn analyze(files: Vec<(SourceFile, ScannedFile, ParsedFile)>) -> Vec<(String, Finding)> {
         let pairs: Vec<(SourceFile, ParsedFile)> = files
             .iter()
             .map(|(s, _, p)| (s.clone(), p.clone()))
@@ -438,7 +441,7 @@ mod tests {
         let scanned: Vec<ScannedFile> = files.into_iter().map(|(_, sc, _)| sc).collect();
         let table = SymbolTable::build(&pairs);
         let graph = callgraph::build(&table);
-        run(&table, &graph, &scanned)
+        run(&table, &graph, &scanned).into_iter().collect()
     }
 
     #[test]
@@ -458,11 +461,11 @@ mod tests {
             ),
         ]);
         assert_eq!(findings.len(), 1, "findings: {findings:?}");
-        let f = &findings[0];
-        assert_eq!(f.pass, PASS);
-        assert!(f.key.contains("fleet::Scenario::digest"));
-        assert!(f.key.contains("hash-iteration"));
-        assert!(f.key.contains("power::order"));
+        let (key, f) = &findings[0];
+        assert_eq!(f.check, PASS);
+        assert!(key.contains("fleet::Scenario::digest"));
+        assert!(key.contains("hash-iteration"));
+        assert!(key.contains("power::order"));
         // Path: sink call in seal, hop seal→order, source in order.
         assert_eq!(f.path.len(), 3, "path: {:?}", f.path);
         assert!(f.path[0].detail.contains("sink"));
@@ -485,9 +488,9 @@ mod tests {
             ),
         ]);
         assert_eq!(findings.len(), 1, "findings: {findings:?}");
-        let f = &findings[0];
-        assert!(f.key.contains("engine-locate"), "key: {}", f.key);
-        assert!(f.key.contains("wall-clock"), "key: {}", f.key);
+        let (key, _) = &findings[0];
+        assert!(key.contains("engine-locate"), "key: {key}");
+        assert!(key.contains("wall-clock"), "key: {key}");
     }
 
     #[test]
@@ -562,10 +565,7 @@ mod tests {
             ),
         ]);
         assert_eq!(findings.len(), 1, "findings: {findings:?}");
-        assert!(
-            findings[0].key.contains("telemetry-snapshot"),
-            "{findings:?}"
-        );
-        assert!(findings[0].key.contains("wall-clock"), "{findings:?}");
+        assert!(findings[0].0.contains("telemetry-snapshot"), "{findings:?}");
+        assert!(findings[0].0.contains("wall-clock"), "{findings:?}");
     }
 }

@@ -24,7 +24,7 @@
 use crate::callgraph::CallGraph;
 use crate::lexer::ScannedFile;
 use crate::parse::ArgShape;
-use crate::report::{GraphFinding, PathStep};
+use crate::report::{Finding, PathStep};
 use crate::symbols::{FnDef, SymbolTable};
 use std::collections::BTreeMap;
 
@@ -138,8 +138,14 @@ fn reportable_boundary(f: &FnDef) -> bool {
 }
 
 /// Runs the pass. `scanned` must parallel the symbol table's file order.
+/// Findings come back keyed, and so deduplicated and sorted, by a stable
+/// line-number-free identity.
 #[must_use]
-pub fn run(table: &SymbolTable, graph: &CallGraph, scanned: &[ScannedFile]) -> Vec<GraphFinding> {
+pub fn run(
+    table: &SymbolTable,
+    graph: &CallGraph,
+    scanned: &[ScannedFile],
+) -> BTreeMap<String, Finding> {
     // Seed: typed params (declared dcb-units newtype) and unit-named raw
     // f64 params. Typed seeds only ever act as flow *origins*; named raw
     // seeds are both origins and candidate boundaries for deeper flow.
@@ -238,7 +244,7 @@ pub fn run(table: &SymbolTable, graph: &CallGraph, scanned: &[ScannedFile]) -> V
 
     // Findings for flowed boundaries (`Named` seeds are the classic
     // unit-leak lint's business, not a flow finding).
-    let mut findings: BTreeMap<String, GraphFinding> = BTreeMap::new();
+    let mut findings: BTreeMap<String, Finding> = BTreeMap::new();
     for (&(id, pi), (dim, why)) in &facts {
         if matches!(why, Why::Named) {
             continue;
@@ -330,9 +336,8 @@ pub fn run(table: &SymbolTable, graph: &CallGraph, scanned: &[ScannedFile]) -> V
                 }
             }
         }
-        findings.entry(key.clone()).or_insert(GraphFinding {
-            pass: PASS,
-            key,
+        findings.entry(key).or_insert(Finding {
+            check: PASS,
             file: f.rel.clone(),
             line: p.line,
             message: format!(
@@ -376,9 +381,8 @@ pub fn run(table: &SymbolTable, graph: &CallGraph, scanned: &[ScannedFile]) -> V
                     continue;
                 }
                 let key = format!("{PASS}:{}:return:{}", g.qualified(), dim.label());
-                findings.entry(key.clone()).or_insert(GraphFinding {
-                    pass: PASS,
-                    key,
+                findings.entry(key).or_insert(Finding {
+                    check: PASS,
                     file: f.rel.clone(),
                     line: call.line,
                     message: format!(
@@ -407,7 +411,7 @@ pub fn run(table: &SymbolTable, graph: &CallGraph, scanned: &[ScannedFile]) -> V
         }
     }
 
-    findings.into_values().collect()
+    findings
 }
 
 #[cfg(test)]
@@ -435,7 +439,7 @@ mod tests {
         )
     }
 
-    fn analyze(files: Vec<(SourceFile, ScannedFile, ParsedFile)>) -> Vec<GraphFinding> {
+    fn analyze(files: Vec<(SourceFile, ScannedFile, ParsedFile)>) -> Vec<(String, Finding)> {
         let pairs: Vec<(SourceFile, ParsedFile)> = files
             .iter()
             .map(|(s, _, p)| (s.clone(), p.clone()))
@@ -443,7 +447,7 @@ mod tests {
         let scanned: Vec<ScannedFile> = files.into_iter().map(|(_, sc, _)| sc).collect();
         let table = SymbolTable::build(&pairs);
         let graph = callgraph::build(&table);
-        run(&table, &graph, &scanned)
+        run(&table, &graph, &scanned).into_iter().collect()
     }
 
     #[test]
@@ -455,8 +459,8 @@ mod tests {
              pub fn residual(load: Watts, frac: Fraction) -> f64 { scale(load.value(), frac) }",
         )]);
         assert_eq!(findings.len(), 1, "findings: {findings:?}");
-        let f = &findings[0];
-        assert_eq!(f.key, "unit-flow:power::scale:x:power");
+        let (key, f) = &findings[0];
+        assert_eq!(key, "unit-flow:power::scale:x:power");
         assert!(f
             .path
             .iter()
@@ -473,7 +477,7 @@ mod tests {
              pub fn mid(x: f64) -> f64 { deep(x) }\n\
              pub fn top(load: Watts) -> f64 { mid(load.value()) }",
         )]);
-        let keys: Vec<&str> = findings.iter().map(|f| f.key.as_str()).collect();
+        let keys: Vec<&str> = findings.iter().map(|(key, _)| key.as_str()).collect();
         assert!(
             keys.contains(&"unit-flow:power::mid:x:power"),
             "keys: {keys:?}"
@@ -493,7 +497,7 @@ mod tests {
              pub fn window(hi: EventTime) -> f64 { offset(hi) }",
         )]);
         assert_eq!(findings.len(), 1, "findings: {findings:?}");
-        assert_eq!(findings[0].key, "unit-flow:engine::offset:at:time");
+        assert_eq!(findings[0].0, "unit-flow:engine::offset:at:time");
     }
 
     #[test]
@@ -523,10 +527,7 @@ mod tests {
              pub fn runtime(soc: f64) -> Minutes { Minutes::new(runtime_raw(soc)) }",
         )]);
         assert_eq!(findings.len(), 1, "findings: {findings:?}");
-        assert_eq!(
-            findings[0].key,
-            "unit-flow:battery::runtime_raw:return:time"
-        );
+        assert_eq!(findings[0].0, "unit-flow:battery::runtime_raw:return:time");
 
         let silenced = analyze(vec![file(
             "crates/battery/src/lib.rs",

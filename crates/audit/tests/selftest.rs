@@ -3,7 +3,7 @@
 //! live workspace itself audits to zero findings.
 
 use dcb_audit::walk::{Role, SourceFile};
-use dcb_audit::{check_source, check_workspace};
+use dcb_audit::{audit, check_source};
 use std::path::{Path, PathBuf};
 
 fn fixture_dir() -> PathBuf {
@@ -26,7 +26,7 @@ fn audit_fixture(name: &str) -> Vec<&'static str> {
     };
     check_source(&file, &source)
         .iter()
-        .map(|f| f.lint)
+        .map(|f| f.check)
         .collect()
 }
 
@@ -111,7 +111,10 @@ fn topology_crate_is_covered_by_the_core_lints() {
         crate_name: "topology".to_owned(),
     };
     let seeded = "pub fn f(feed_watts: f64) {\n    let _ = feed_watts == 0.0;\n    let _ = dcb_trace::drain();\n    let _ = sim.run_stepped(d);\n}\n";
-    let found: Vec<_> = check_source(&file, seeded).iter().map(|f| f.lint).collect();
+    let found: Vec<_> = check_source(&file, seeded)
+        .iter()
+        .map(|f| f.check)
+        .collect();
     for lint in specs.iter().map(|s| s.name) {
         assert_eq!(count(&found, lint), 1, "found {found:?}");
     }
@@ -161,11 +164,19 @@ fn live_workspace_is_clean() {
         .parent()
         .and_then(Path::parent)
         .expect("workspace root above crates/audit");
-    let findings = check_workspace(root).expect("workspace walk failed");
+    let report = audit(root).expect("workspace audit failed");
+    // The call graph must actually cover the whole workspace.
     assert!(
-        findings.is_empty(),
+        report.stats.crates.len() >= 15,
+        "crates: {:?}",
+        report.stats.crates
+    );
+    assert!(report.stats.fns > 1000, "fns: {}", report.stats.fns);
+    assert!(report.stats.edges > 1000, "edges: {}", report.stats.edges);
+    assert!(
+        report.findings.is_empty(),
         "live workspace has {} finding(s):\n{}",
-        findings.len(),
-        dcb_audit::report::render_text(&findings)
+        report.findings.len(),
+        dcb_audit::report::render_text(&report)
     );
 }
