@@ -18,16 +18,16 @@ fn main() -> std::io::Result<()> {
         .unwrap_or_else(|| "csv".to_owned())
         .into();
     fs::create_dir_all(&dir)?;
-    for workload in csv::WORKLOADS {
+    for (name, make) in csv::WORKLOADS {
         fs::write(
-            dir.join(format!("fig5_{workload}.csv")),
-            csv::fig5_csv(workload),
+            dir.join(format!("fig5_{name}.csv")),
+            csv::fig5_csv((name, make())),
         )?;
         fs::write(
-            dir.join(format!("fig6_{workload}.csv")),
-            csv::fig6_csv(workload),
+            dir.join(format!("fig6_{name}.csv")),
+            csv::fig6_csv((name, make())),
         )?;
-        println!("wrote fig5/fig6 CSVs for {workload}");
+        println!("wrote fig5/fig6 CSVs for {name}");
     }
     fs::write(dir.join("fig10.csv"), csv::fig10_csv())?;
     fs::write(dir.join("frontier.csv"), csv::frontier_csv(60, 2014))?;

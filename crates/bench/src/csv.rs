@@ -12,33 +12,24 @@ use dcb_core::{BackupConfig, Cluster, Technique};
 use dcb_workload::Workload;
 use std::fmt::Write as _;
 
-fn workload_by_name(name: &str) -> Option<Workload> {
-    match name {
-        "specjbb" => Some(Workload::specjbb()),
-        "websearch" => Some(Workload::web_search()),
-        "memcached" => Some(Workload::memcached()),
-        "speccpu" => Some(Workload::spec_cpu()),
-        "oltp" => Some(Workload::oltp_database()),
-        _ => None,
-    }
-}
+/// A workload constructor.
+type MakeWorkload = fn() -> Workload;
 
-/// The workload names accepted by the per-workload exports.
-pub const WORKLOADS: [&str; 5] = ["specjbb", "websearch", "memcached", "speccpu", "oltp"];
+/// The workloads of the per-workload exports, under the names their
+/// files and rows carry.
+pub const WORKLOADS: [(&str, MakeWorkload); 5] = [
+    ("specjbb", Workload::specjbb),
+    ("websearch", Workload::web_search),
+    ("memcached", Workload::memcached),
+    ("speccpu", Workload::spec_cpu),
+    ("oltp", Workload::oltp_database),
+];
 
-/// Figure 5 data: configuration × duration with best-technique selection.
-///
-/// # Panics
-///
-/// Panics on an unknown workload name (see [`WORKLOADS`]).
+/// Figure 5 data for one named workload: configuration × duration with
+/// best-technique selection.
 #[must_use]
-pub fn fig5_csv(workload: &str) -> String {
-    #[expect(
-        clippy::expect_used,
-        reason = "precondition documented under `# Panics`"
-    )]
-    let w = workload_by_name(workload).expect("unknown workload");
-    let cluster = Cluster::rack(w);
+pub fn fig5_csv((name, workload): (&str, Workload)) -> String {
+    let cluster = Cluster::rack(workload);
     let catalog = Technique::catalog();
     let mut out = String::from(
         "workload,config,normalized_cost,outage_minutes,perf,downtime_expected_minutes,downtime_min_minutes,downtime_max_minutes,technique,state_lost,feasible\n",
@@ -50,7 +41,7 @@ pub fn fig5_csv(workload: &str) -> String {
             let _ = writeln!(
                 out,
                 "{},{},{:.4},{:.2},{:.4},{:.3},{:.3},{:.3},{},{},{}",
-                workload,
+                name,
                 config.label(),
                 p.cost,
                 duration.to_minutes(),
@@ -67,19 +58,11 @@ pub fn fig5_csv(workload: &str) -> String {
     out
 }
 
-/// Figure 6–9 data: technique × duration with minimum-cost sizing.
-///
-/// # Panics
-///
-/// Panics on an unknown workload name.
+/// Figure 6–9 data for one named workload: technique × duration with
+/// minimum-cost sizing.
 #[must_use]
-pub fn fig6_csv(workload: &str) -> String {
-    #[expect(
-        clippy::expect_used,
-        reason = "precondition documented under `# Panics`"
-    )]
-    let w = workload_by_name(workload).expect("unknown workload");
-    let cluster = Cluster::rack(w);
+pub fn fig6_csv((name, workload): (&str, Workload)) -> String {
+    let cluster = Cluster::rack(workload);
     let mut out = String::from(
         "workload,technique,outage_minutes,normalized_cost,perf,downtime_expected_minutes,sized_backup,feasible\n",
     );
@@ -96,7 +79,7 @@ pub fn fig6_csv(workload: &str) -> String {
                 let _ = writeln!(
                     out,
                     "{},{},{:.2},{:.4},{:.4},{:.3},{},true",
-                    workload,
+                    name,
                     technique.name(),
                     duration.to_minutes(),
                     p.performability.cost,
@@ -109,7 +92,7 @@ pub fn fig6_csv(workload: &str) -> String {
                 let _ = writeln!(
                     out,
                     "{},{},{:.2},,,,,false",
-                    workload,
+                    name,
                     technique.name(),
                     duration.to_minutes(),
                 );
@@ -176,7 +159,7 @@ mod tests {
 
     #[test]
     fn fig5_csv_shape() {
-        let csv = fig5_csv("specjbb");
+        let csv = fig5_csv(("specjbb", Workload::specjbb()));
         let lines: Vec<&str> = csv.lines().collect();
         // Header + 9 configs × 5 durations.
         assert_eq!(lines.len(), 1 + 45);
@@ -198,11 +181,5 @@ mod tests {
             assert!(loss >= last);
             last = loss;
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown workload")]
-    fn unknown_workload_rejected() {
-        let _ = fig5_csv("nope");
     }
 }
