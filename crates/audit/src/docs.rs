@@ -229,10 +229,23 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
-    fn tmp_root() -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dcb-audit-docs-{}", std::process::id()));
-        let _ = std::fs::create_dir_all(&dir);
-        dir
+    /// A temporary directory of one test's own, removed on drop.
+    struct TmpRoot(PathBuf);
+
+    impl TmpRoot {
+        fn new(test: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("dcb-audit-docs-{}-{test}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            Self(dir)
+        }
+    }
+
+    impl Drop for TmpRoot {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     #[test]
@@ -243,10 +256,11 @@ mod tests {
 
     #[test]
     fn missing_link_target_is_a_finding_existing_is_not() {
-        let root = tmp_root();
+        let tmp = TmpRoot::new("missing-link");
+        let root = &tmp.0;
         std::fs::write(root.join("HERE.md"), "x").unwrap();
         let text = "see [a](HERE.md) and [b](GONE.md) and [web](https://x.y/z.md)\n";
-        let findings = check_links(&root, "README.md", text);
+        let findings = check_links(root, "README.md", text);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("GONE.md"));
         assert_eq!(findings[0].line, 1);
@@ -254,19 +268,20 @@ mod tests {
 
     #[test]
     fn anchor_only_and_anchored_links_are_handled() {
-        let root = tmp_root();
+        let tmp = TmpRoot::new("anchors");
+        let root = &tmp.0;
         std::fs::write(root.join("ANCHORED.md"), "# Top\n## The Part\n").unwrap();
         let good = "# Intro\n[top](#intro) then [sec](ANCHORED.md#the-part)\n";
-        assert!(check_links(&root, "README.md", good).is_empty());
+        assert!(check_links(root, "README.md", good).is_empty());
         // A dangling anchor is a finding — in either direction.
         let bad = "# Intro\n[gone](#outro) and [sec](ANCHORED.md#no-such-part)\n";
-        let findings = check_links(&root, "README.md", bad);
+        let findings = check_links(root, "README.md", bad);
         assert_eq!(findings.len(), 2, "{findings:?}");
         assert!(findings[0].message.contains("#outro"));
         assert!(findings[1].message.contains("#no-such-part"));
         // Anchors on non-markdown targets are not checkable.
         std::fs::write(root.join("data.csv"), "a,b\n").unwrap();
-        assert!(check_links(&root, "README.md", "[d](data.csv#L3)\n").is_empty());
+        assert!(check_links(root, "README.md", "[d](data.csv#L3)\n").is_empty());
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! 1. **Token lints** ([`lints`]) enforce the modelling discipline neither
 //!    rustc nor clippy can express — no raw `f64` power/energy/money
 //!    outside `crates/units` (`unit-leak`), no exact float comparisons
-//!    (`float-cmp`), no fixed-step oracle in production paths
-//!    (`stepped-sim`), and no observability reads in model code
+//!    (`float-cmp`), and no observability reads in model code
 //!    (`observe-in-result`). Hash containers, wall-clock reads, ad-hoc
 //!    threads and panicking shortcuts are clippy's job: the root
 //!    `clippy.toml` and `ci.sh`'s clippy stages (DESIGN.md §8).
@@ -179,10 +178,10 @@ mod tests {
         };
         let findings = check_source(
             &file,
-            "fn grid_watts() -> f64 { if x == 1.0 { sim.run_stepped(d) } else { 0.0 } }",
+            "fn grid_watts() -> f64 { if x == 1.0 { dcb_trace::drain() } else { 0.0 } }",
         );
         let checks: Vec<&str> = findings.iter().map(|f| f.check).collect();
-        assert_eq!(checks, vec!["float-cmp", "stepped-sim", "unit-leak"]);
+        assert_eq!(checks, vec!["float-cmp", "observe-in-result", "unit-leak"]);
     }
 
     #[test]

@@ -39,12 +39,6 @@ pub fn all() -> Vec<LintSpec> {
             check: float_cmp,
         },
         LintSpec {
-            name: "stepped-sim",
-            summary: "the fixed-step oracle (run_stepped and friends) outside crates/sim; production paths go through the event kernel",
-            exempt_crates: &["sim"],
-            check: stepped_sim,
-        },
-        LintSpec {
             name: "observe-in-result",
             summary: "reading an observability plane back (telemetry Snapshot/snapshot/report, trace drain/capture/chrome/timeline, prof Profile/snapshot/collapsed/svg) inside model code lets observation feed back into results; recording is always fine, and only report edges (bench) may read",
             exempt_crates: &["telemetry", "trace", "prof", "bench", "audit"],
@@ -216,25 +210,6 @@ fn float_cmp(tokens: &[Token]) -> Vec<(u32, String)> {
     out
 }
 
-/// `stepped-sim`: any call to the fixed-step differential oracle
-/// (`run_stepped`, `run_with_backup_stepped`, `run_with_backup_stepped_at`)
-/// outside the sim crate itself.
-fn stepped_sim(tokens: &[Token]) -> Vec<(u32, String)> {
-    tokens
-        .iter()
-        .filter_map(|t| {
-            let name = t.kind.ident()?;
-            (name.starts_with("run_stepped") || name.starts_with("run_with_backup_stepped"))
-                .then(|| {
-                    (
-                        t.line,
-                        format!("`{name}` is the differential oracle; production code calls the event kernel (`run`/`run_with_backup`)"),
-                    )
-                })
-        })
-        .collect()
-}
-
 /// One observability plane's read surface: the types that hold values
 /// read back out of it, and the `<plane>::<item>` paths that read them.
 /// Recording entry points are absent on purpose.
@@ -337,26 +312,6 @@ mod tests {
         assert_eq!(check("fn f() { let _ = a.value() != b; }").len(), 1);
         assert!(check("fn f() { let _ = n == 3; }").is_empty());
         assert!(check("fn f() { let _ = x <= 1.0; }").is_empty());
-    }
-
-    #[test]
-    fn stepped_sim_oracle_calls() {
-        assert_eq!(check("fn f() { sim.run_stepped(d); }").len(), 1);
-        assert_eq!(
-            check("fn f() { sim.run_with_backup_stepped_at(d, &mut b, dt); }").len(),
-            1
-        );
-        // The kernel entry points are what production code should call.
-        assert!(check("fn f() { sim.run(d); }").is_empty());
-        assert!(check("fn f() { sim.run_with_backup(d, &mut b); }").is_empty());
-        // Inside crates/sim the oracle is at home.
-        let mut f = lib_file();
-        f.crate_name = "sim".to_owned();
-        assert!(check_file(&f, &scan("fn f() { sim.run_stepped(d); }")).is_empty());
-        // Benches are exempt by role (they measure the oracle on purpose).
-        let mut f = lib_file();
-        f.role = Role::Bench;
-        assert!(check_file(&f, &scan("fn f() { sim.run_stepped(d); }")).is_empty());
     }
 
     #[test]

@@ -149,16 +149,22 @@ pub fn run() -> SweepSummary {
 mod tests {
     use super::*;
 
+    /// The counts EXPERIMENTS.md quotes. They are exact: the sweep is
+    /// seeded and deterministic, and so are the shared cache's hits and
+    /// misses at any `DCB_THREADS`.
     #[test]
     fn sweep_passes_and_counts_checks() {
         let summary = run();
         assert!(summary.passed(), "{}", summary.render());
-        assert!(summary.grid_points >= 9 * 5, "{}", summary.grid_points);
-        assert!(summary.technique_points > 0);
-        assert!(
-            summary.contract_checks > 1_000,
+        assert_eq!(summary.grid_points, 9 * 5, "{}", summary.render());
+        assert_eq!(summary.technique_points, 13 * 5, "{}", summary.render());
+        assert_eq!(summary.availability_candidates, 3);
+        assert_eq!(summary.contract_checks, 37_585, "{}", summary.render());
+        assert_eq!(
+            (summary.cache_hits, summary.cache_misses),
+            (65, 585),
             "{}",
-            summary.contract_checks
+            summary.render()
         );
         assert!(summary.render().contains("sweep clean"));
     }

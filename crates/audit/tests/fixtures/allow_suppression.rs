@@ -6,9 +6,9 @@ pub struct Rack {
     pub peak_watts: f64,
 }
 
-pub fn oracle_on_purpose(sim: &OutageSim, outage: Seconds) -> SimOutcome {
-    // dcb-audit: allow(stepped-sim, fixture exercises suppression)
-    sim.run_stepped(outage)
+pub fn reset_on_purpose() {
+    // dcb-audit: allow(observe-in-result, fixture exercises suppression)
+    dcb_prof::reset();
 }
 
 pub fn replay_on_purpose() -> usize {

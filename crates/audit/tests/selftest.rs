@@ -40,7 +40,6 @@ fn every_lint_class_is_detected() {
         ("unit_leak.rs", "unit-leak", 3),
         ("topology_unit_leak.rs", "unit-leak", 3),
         ("float_cmp.rs", "float-cmp", 3),
-        ("stepped_sim.rs", "stepped-sim", 2),
         ("observe_in_result.rs", "observe-in-result", 9),
     ] {
         let found = audit_fixture(fixture);
@@ -95,7 +94,7 @@ fn topology_crate_is_covered_by_the_core_lints() {
     // The graph layer is model code: every lint must apply to
     // `crates/topology` — no crate exemption.
     let specs = dcb_audit::lints::all();
-    assert_eq!(specs.len(), 4);
+    assert_eq!(specs.len(), 3);
     for spec in &specs {
         assert!(
             !spec.exempt_crates.contains(&"topology"),
@@ -110,7 +109,7 @@ fn topology_crate_is_covered_by_the_core_lints() {
         role: Role::Library,
         crate_name: "topology".to_owned(),
     };
-    let seeded = "pub fn f(feed_watts: f64) {\n    let _ = feed_watts == 0.0;\n    let _ = dcb_trace::drain();\n    let _ = sim.run_stepped(d);\n}\n";
+    let seeded = "pub fn f(feed_watts: f64) {\n    let _ = feed_watts == 0.0;\n    let _ = dcb_trace::drain();\n}\n";
     let found: Vec<_> = check_source(&file, seeded)
         .iter()
         .map(|f| f.check)
@@ -132,7 +131,7 @@ fn allow_above_an_item_covers_its_whole_body() {
     // comparisons in the next item.
     let found = audit_fixture("allow_item_scope.rs");
     assert_eq!(count(&found, "float-cmp"), 1, "found {found:?}");
-    assert_eq!(count(&found, "stepped-sim"), 1, "found {found:?}");
+    assert_eq!(count(&found, "observe-in-result"), 1, "found {found:?}");
     assert_eq!(found.len(), 2, "found {found:?}");
 }
 
@@ -145,7 +144,7 @@ fn clean_code_stays_clean() {
 fn fixtures_are_role_scoped_out_as_tests() {
     // The same seeded violations audited as *test* code produce nothing:
     // the lint scope, not luck, keeps test files quiet.
-    for name in ["float_cmp.rs", "stepped_sim.rs", "observe_in_result.rs"] {
+    for name in ["unit_leak.rs", "float_cmp.rs", "observe_in_result.rs"] {
         let path = fixture_dir().join(name);
         let source = std::fs::read_to_string(&path).expect("fixture unreadable");
         let file = SourceFile {

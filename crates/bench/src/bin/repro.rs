@@ -7,7 +7,7 @@
 //! cargo run --release -p dcb-bench --bin repro -- sensitivity
 //! ```
 
-use dcb_bench::{all_exhibits, explain, extra_exhibits, perf, profile, tables, topo, verify};
+use dcb_bench::{all_exhibits, explain, extra_exhibits, profile, tables, topo, verify};
 use dcb_trace::TraceMode;
 
 fn main() {
@@ -40,20 +40,6 @@ fn main() {
     // byte-reproducible across DCB_THREADS).
     if args.first().map(String::as_str) == Some("profile") {
         match profile::run_cli(&args[1..]) {
-            Ok(report) => {
-                print!("{report}");
-                return;
-            }
-            Err(err) => {
-                eprintln!("{err}");
-                std::process::exit(2);
-            }
-        }
-    }
-    // `repro perf` analyzes BENCH_history.jsonl: trends, noise bands,
-    // regression detection, and the ratcheted floors ci.sh asserts.
-    if args.first().map(String::as_str) == Some("perf") {
-        match perf::run_cli(&args[1..]) {
             Ok(report) => {
                 print!("{report}");
                 return;

@@ -7,8 +7,7 @@
 //! formatted text block. The `repro` binary prints any subset;
 //! `cargo run -p dcb-bench --bin repro -- all` prints everything and
 //! checks the paper's headline claims via [`verify`], exiting 1 if one
-//! fails. The crate's two bench targets, `engine` and `topology`, are the
-//! speedup smokes CI gates on; `perfbench/` times the reproduction itself.
+//! fails. `perfbench/` times the reproduction itself.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,8 +16,6 @@ pub mod ablations;
 pub mod csv;
 pub mod explain;
 pub mod figures;
-pub mod observatory;
-pub mod perf;
 pub mod profile;
 pub mod tables;
 pub mod topo;

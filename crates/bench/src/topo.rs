@@ -211,10 +211,29 @@ pub fn run_cli(args: &[String]) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    fn write_sample() -> std::path::PathBuf {
-        let path = std::env::temp_dir().join("dcb_topo_cli_sample.topo");
-        std::fs::write(&path, SAMPLE_SPEC).expect("temp spec written");
-        path
+    /// The sample spec in a temporary file of one test's own, removed on
+    /// drop.
+    struct SampleFile(std::path::PathBuf);
+
+    impl SampleFile {
+        fn new(test: &str) -> Self {
+            let path = std::env::temp_dir().join(format!(
+                "dcb_topo_cli_sample_{}_{test}.topo",
+                std::process::id()
+            ));
+            std::fs::write(&path, SAMPLE_SPEC).expect("temp spec written");
+            Self(path)
+        }
+
+        fn arg(&self) -> String {
+            self.0.display().to_string()
+        }
+    }
+
+    impl Drop for SampleFile {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
     }
 
     #[test]
@@ -225,8 +244,8 @@ mod tests {
 
     #[test]
     fn cli_renders_a_report() {
-        let path = write_sample();
-        let report = run_cli(&[path.display().to_string(), "5m".to_owned()]).expect("report");
+        let sample = SampleFile::new("report");
+        let report = run_cli(&[sample.arg(), "5m".to_owned()]).expect("report");
         assert!(report.contains("== topo:"), "{report}");
         assert!(report.contains("aggregation:"), "{report}");
         assert!(
@@ -241,8 +260,8 @@ mod tests {
 
     #[test]
     fn cli_defaults_to_paper_durations() {
-        let path = write_sample();
-        let report = run_cli(&[path.display().to_string()]).expect("report");
+        let sample = SampleFile::new("defaults");
+        let report = run_cli(&[sample.arg()]).expect("report");
         // Five paper durations → five availability rows.
         assert_eq!(report.matches("feasible=").count(), 5, "{report}");
     }
@@ -252,8 +271,8 @@ mod tests {
         assert_eq!(run_cli(&["--sample".to_owned()]).unwrap(), SAMPLE_SPEC);
         assert!(run_cli(&[]).is_err());
         assert!(run_cli(&["/no/such/file.topo".to_owned()]).is_err());
-        let path = write_sample().display().to_string();
-        let err = run_cli(&[path, "1e306h".to_owned()]).unwrap_err();
+        let sample = SampleFile::new("usage");
+        let err = run_cli(&[sample.arg(), "1e306h".to_owned()]).unwrap_err();
         assert!(err.contains("must be finite"), "{err}");
     }
 

@@ -3,9 +3,10 @@
 //!
 //! Two interchangeable solvers share everything in this module: the
 //! event-driven piecewise-analytic kernel (`kernel.rs`, the segment loop
-//! behind [`OutageSim::run`]) and the fixed-step loop (`stepper.rs`, kept
-//! as a differential oracle). Mode semantics, fallback planning, and
-//! outcome assembly live here so the two cannot drift apart.
+//! behind [`OutageSim::run`]) and the fixed-step loop (`stepper.rs`, a
+//! differential oracle compiled only into this crate's tests). Mode
+//! semantics, fallback planning, and outcome assembly live here so the
+//! two cannot drift apart.
 
 use crate::{Cluster, Fallback, FinalState, InitialAction, SimOutcome, Technique};
 use dcb_battery::PackSpec;
@@ -27,8 +28,8 @@ use std::borrow::Cow;
 /// from their sustain phase to their save-state fallback at the latest
 /// instant the remaining battery charge still covers the save — the
 /// planning rule behind the paper's *Throttle+Sleep-L* results. The
-/// fixed-step solver survives as [`OutageSim::run_stepped`] for
-/// differential testing.
+/// fixed-step solver survives only in this crate's tests, as the
+/// kernel's differential oracle.
 #[derive(Debug, Clone)]
 pub struct OutageSim {
     cluster: Cluster,

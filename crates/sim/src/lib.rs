@@ -42,10 +42,13 @@
 #![warn(missing_docs)]
 
 mod cluster;
+#[cfg(test)]
+mod differential;
 mod engine;
 mod kernel;
 mod outcome;
 mod segment;
+#[cfg(test)]
 mod stepper;
 mod technique;
 mod trace;

@@ -1,5 +1,5 @@
 //! The fixed-step solver, kept as a differential oracle for the
-//! event-driven kernel.
+//! event-driven kernel and compiled only into this crate's tests.
 //!
 //! This is the original solver: advance in fixed steps (sub-second for
 //! short outages, a bounded step count for long ones), at each step
@@ -9,9 +9,10 @@
 //! `dt = step.min(outage - t)`, so the last step takes whatever remainder
 //! the accumulated time still owes, and every floating-point operation
 //! matches the historical solver. Its results converge on the kernel's as
-//! the step shrinks — the property the differential test suite asserts —
-//! which is the only reason it survives; production callers use
-//! [`OutageSim::run`](crate::OutageSim::run).
+//! the step shrinks — the property the differential tests
+//! (`differential.rs`) assert — which is the only reason it survives.
+//! Being `#[cfg(test)]`, it cannot be called from model code: production
+//! callers use [`OutageSim::run`](crate::OutageSim::run).
 
 use crate::engine::{Mode, OutageSim, RunState};
 use crate::{Fallback, SimOutcome};
@@ -223,26 +224,6 @@ fn advance_one(world: &mut StepWorld) {
 }
 
 impl OutageSim {
-    /// Runs the fixed-step solver against a fresh backup system with the
-    /// historical step rule `max(outage / 7200, 0.25 s)`.
-    #[must_use]
-    pub fn run_stepped(&self, outage: Seconds) -> SimOutcome {
-        let mut backup = self.config().instantiate(self.cluster().peak_power());
-        self.run_with_backup_stepped(outage, &mut backup)
-    }
-
-    /// Runs the fixed-step solver against an existing backup system with
-    /// the historical step rule.
-    #[must_use]
-    pub fn run_with_backup_stepped(
-        &self,
-        outage: Seconds,
-        backup: &mut BackupSystem,
-    ) -> SimOutcome {
-        let step = Seconds::new((outage.value() / 7200.0).max(0.25));
-        self.run_with_backup_stepped_at(outage, backup, step)
-    }
-
     /// Runs the fixed-step solver with an explicit step size — the knob the
     /// differential suite turns to show stepped results converge on the
     /// kernel's as `step → 0`.
@@ -252,7 +233,7 @@ impl OutageSim {
     /// Panics if `outage` is negative or non-finite, or `step` is not
     /// strictly positive.
     #[must_use]
-    pub fn run_with_backup_stepped_at(
+    pub(crate) fn run_with_backup_stepped_at(
         &self,
         outage: Seconds,
         backup: &mut BackupSystem,

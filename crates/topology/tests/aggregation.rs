@@ -189,59 +189,74 @@ fn brownout_policy_degrades_instead_of_shedding() {
 }
 
 /// Flat (fully expanded) and aggregated resolution agree on every boolean
-/// and within float tolerance on the blended continuous metrics.
+/// and within float tolerance on the blended continuous metrics, from a
+/// 200-rack facility up to a 100k-rack one whose merged groups hold 1,000
+/// racks each.
 #[test]
 fn flat_and_aggregated_resolutions_agree() {
-    let topology = Topology::uniform(
-        5,
-        40,
-        Workload::specjbb(),
-        BackupConfig::dg_small_pups(),
-        Technique::sleep(),
-    );
+    let cases = [
+        (
+            5,
+            40,
+            Workload::specjbb(),
+            BackupConfig::dg_small_pups(),
+            Technique::sleep(),
+        ),
+        (
+            10,
+            100,
+            Workload::web_search(),
+            BackupConfig::dg_small_pups(),
+            Technique::sleep(),
+        ),
+        (
+            100,
+            1000,
+            Workload::specjbb(),
+            BackupConfig::max_perf(),
+            Technique::ride_through(),
+        ),
+    ];
     let outage = Seconds::new(1800.0);
-    let aggregated = resolve(&topology, outage).expect("aggregated resolves");
-    let flat = resolve_with_evaluator(
-        &topology,
-        outage,
-        &FleetPool::new(),
-        Aggregation::Flat,
-        &KernelEvaluator,
-    )
-    .expect("flat resolves");
+    for (clusters, racks, workload, config, technique) in cases {
+        let label = format!("{clusters}x{racks} {workload} / {config} / {technique}");
+        let topology = Topology::uniform(clusters, racks, workload, config, technique);
+        let aggregated = resolve(&topology, outage).expect("aggregated resolves");
+        let flat = resolve_with_evaluator(
+            &topology,
+            outage,
+            &FleetPool::new(),
+            Aggregation::Flat,
+            &KernelEvaluator,
+        )
+        .expect("flat resolves");
 
-    assert_eq!(aggregated.aggregate.feasible, flat.aggregate.feasible);
-    assert_eq!(aggregated.aggregate.state_lost, flat.aggregate.state_lost);
-    assert_eq!(aggregated.aggregate.final_state, flat.aggregate.final_state);
-    assert_eq!(aggregated.aggregate.downtime, flat.aggregate.downtime);
-    let rel = |a: f64, b: f64| (a - b).abs() / a.abs().max(b.abs()).max(1e-12);
-    assert!(
-        rel(
-            aggregated.aggregate.peak_power.value(),
-            flat.aggregate.peak_power.value()
-        ) < 1e-9
-    );
-    assert!(
-        rel(
-            aggregated.aggregate.energy.value(),
-            flat.aggregate.energy.value()
-        ) < 1e-9
-    );
-    assert!(
-        rel(
-            aggregated.aggregate.perf_during_outage.value(),
-            flat.aggregate.perf_during_outage.value(),
-        ) < 1e-9
-    );
+        let (a, f) = (&aggregated.aggregate, &flat.aggregate);
+        assert_eq!(a.feasible, f.feasible, "{label}");
+        assert_eq!(a.state_lost, f.state_lost, "{label}");
+        assert_eq!(a.final_state, f.final_state, "{label}");
+        assert_eq!(a.downtime, f.downtime, "{label}");
+        let rel = |x: f64, y: f64| (x - y).abs() / x.abs().max(y.abs()).max(1e-12);
+        assert!(
+            rel(a.peak_power.value(), f.peak_power.value()) < 1e-9,
+            "{label}: peak power"
+        );
+        assert!(
+            rel(a.energy.value(), f.energy.value()) < 1e-9,
+            "{label}: energy"
+        );
+        assert!(
+            rel(a.perf_during_outage.value(), f.perf_during_outage.value()) < 1e-9,
+            "{label}: performance"
+        );
 
-    // Both account for the same fleet, but aggregation does far less work.
-    assert_eq!(aggregated.stats.explicit_nodes, flat.stats.explicit_nodes);
-    assert_eq!(
-        aggregated.stats.implied_leaf_sims,
-        flat.stats.implied_leaf_sims
-    );
-    assert!(aggregated.stats.resolved_nodes < flat.stats.resolved_nodes / 10);
-    assert!(aggregated.stats.collapse_ratio() > 10.0);
+        // Both account for the same fleet, but aggregation does far less work.
+        let (a, f) = (&aggregated.stats, &flat.stats);
+        assert_eq!(a.explicit_nodes, f.explicit_nodes, "{label}");
+        assert_eq!(a.implied_leaf_sims, f.implied_leaf_sims, "{label}");
+        assert!(a.resolved_nodes < f.resolved_nodes / 10, "{label}");
+        assert!(a.collapse_ratio() > 10.0, "{label}");
+    }
 }
 
 /// The collapse ratio grows with the fleet: a 100k-rack DC resolves in a

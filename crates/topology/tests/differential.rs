@@ -4,7 +4,7 @@
 //! sectioned facility (§7: each section under its own backup) resolves
 //! as one independent kernel run per section.
 //!
-//! Mirrors the harness shape of `crates/sim/tests/differential.rs`: an
+//! Mirrors the harness shape of `crates/sim/src/differential.rs`: an
 //! exhaustive sweep over the Table-3 configuration grid × the extended
 //! technique catalog × representative outage durations, plus a proptest
 //! over randomly drawn grid points and durations.

@@ -1,6 +1,5 @@
 //! The workspace's one JSON reader: [`crate::chrome::validate`] checks
-//! exported traces with it, and the perf observatory reads
-//! `BENCH_history.jsonl` with it.
+//! exported traces with it.
 //!
 //! It parses the full JSON grammar (objects, arrays, strings, numbers,
 //! bools, null) into a [`Value`] tree, and it is strict where a lenient
