@@ -85,7 +85,6 @@ pub struct AdaptiveOutcome {
 pub struct AdaptiveController {
     predictor: DurationPredictor,
     risk: f64,
-    tare_fraction: f64,
 }
 
 /// What the cluster is doing; a serving throttle level is an index into
@@ -247,7 +246,6 @@ impl AdaptiveController {
         Self {
             predictor,
             risk: Self::DEFAULT_RISK,
-            tare_fraction: 0.005,
         }
     }
 
@@ -288,9 +286,7 @@ impl AdaptiveController {
         let w = cluster.workload();
         let util = w.utilization();
         let n = f64::from(cluster.size());
-        let tare = backup
-            .ups()
-            .map_or(Watts::ZERO, |u| u.power_capacity() * self.tare_fraction);
+        let tare = backup.ups().map_or(Watts::ZERO, Ups::tare);
         let ladder = Self::ladder();
         let serve_load = ladder.map(|level| spec.active_power(level, util) * n + tare);
         let sleep_load = spec.sleep_power() * n + tare;

@@ -59,6 +59,14 @@ impl Ups {
         self.power_capacity
     }
 
+    /// Electronics tare drawn while the unit carries a load: 0.5 % of the
+    /// power rating, so near-zero loads do not yield unphysical multi-day
+    /// runtimes (the paper reports no tare).
+    #[must_use]
+    pub fn tare(&self) -> Watts {
+        self.power_capacity * 0.005
+    }
+
     /// The battery pack specification.
     #[must_use]
     pub fn pack(&self) -> PackSpec {

@@ -1,4 +1,4 @@
-//! Server power-state and power-draw models.
+//! Server power-draw and transition-latency models.
 //!
 //! Stands in for the paper's physical testbed (§6): identical dual-socket
 //! servers with 12 cores at 3.4 GHz, 64 GB DRAM, 1 Gbps Ethernet, measured
@@ -18,25 +18,22 @@
 //! # Examples
 //!
 //! ```
-//! use dcb_server::{PowerState, ServerSpec, ThrottleLevel};
+//! use dcb_server::{ServerSpec, ThrottleLevel};
 //! use dcb_units::Fraction;
 //!
 //! let spec = ServerSpec::paper_testbed();
-//! let full = spec.power_draw(&PowerState::active(ThrottleLevel::NONE), Fraction::ONE);
+//! let full = spec.active_power(ThrottleLevel::NONE, Fraction::ONE);
 //! assert_eq!(full.value(), 250.0);
-//! let asleep = spec.power_draw(&PowerState::Sleeping, Fraction::ZERO);
-//! assert!(asleep.value() <= 6.0);
+//! assert!(spec.sleep_power().value() <= 6.0);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod machine;
 mod spec;
 mod states;
 mod transitions;
 
-pub use machine::{IllegalTransition, Server, ServerCommand};
 pub use spec::ServerSpec;
-pub use states::{PState, PowerState, TState, ThrottleLevel};
+pub use states::{PState, TState, ThrottleLevel};
 pub use transitions::TransitionTimes;

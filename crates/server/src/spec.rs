@@ -1,6 +1,6 @@
 //! Server hardware specification and the calibrated power model.
 
-use crate::states::{PowerState, ThrottleLevel};
+use crate::states::ThrottleLevel;
 use dcb_units::{
     Fraction, Gigabytes, MegabytesPerSecond, Seconds, StableHash, StableHasher, Watts,
 };
@@ -144,31 +144,6 @@ impl ServerSpec {
         self.idle_power + dynamic * (utilization.value() * throttle.dynamic_power_factor())
     }
 
-    /// Power drawn in an arbitrary [`PowerState`].
-    ///
-    /// Transitional states draw what their activity implies: saving to disk
-    /// is an active (possibly throttled) state doing I/O; resume and boot
-    /// draw near-peak briefly.
-    #[must_use]
-    pub fn power_draw(&self, state: &PowerState, utilization: Fraction) -> Watts {
-        match state {
-            PowerState::Active(level) => self.active_power(*level, utilization),
-            // Flushing context and setting DRAM to self-refresh: I/O-light,
-            // CPU mostly idle.
-            PowerState::EnteringSleep => self.idle_power,
-            PowerState::Sleeping => self.sleep_power,
-            // Streaming memory out to disk at the chosen throttle; treat the
-            // I/O engine as a moderately utilized active state.
-            PowerState::SavingToDisk(level) => self.active_power(*level, Fraction::new(0.6)),
-            PowerState::Hibernated | PowerState::Off => Watts::ZERO,
-            PowerState::ResumingFromSleep => self.idle_power,
-            PowerState::ResumingFromDisk => {
-                self.active_power(ThrottleLevel::NONE, Fraction::new(0.6))
-            }
-            PowerState::Booting => self.active_power(ThrottleLevel::NONE, Fraction::new(0.7)),
-        }
-    }
-
     /// The lowest sustained active power reachable through throttling alone
     /// (full utilization at the deepest DVFS state, no clock gating —
     /// gating also destroys performance, so "low power mode" in the paper's
@@ -265,13 +240,7 @@ mod tests {
 
     #[test]
     fn sleep_is_tiny() {
-        let s = ServerSpec::paper_testbed();
-        assert!(s.power_draw(&PowerState::Sleeping, Fraction::ONE).value() <= 6.0);
-        assert_eq!(s.power_draw(&PowerState::Off, Fraction::ONE), Watts::ZERO);
-        assert_eq!(
-            s.power_draw(&PowerState::Hibernated, Fraction::ONE),
-            Watts::ZERO
-        );
+        assert!(ServerSpec::paper_testbed().sleep_power().value() <= 6.0);
     }
 
     #[test]

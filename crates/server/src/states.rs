@@ -1,4 +1,4 @@
-//! Processor throttling states and the server power-state machine.
+//! Processor throttling states: P-states, T-states and their combination.
 
 use core::fmt;
 use dcb_units::{Fraction, StableHash, StableHasher};
@@ -220,82 +220,6 @@ impl fmt::Display for ThrottleLevel {
     }
 }
 
-/// The server's operational power state.
-///
-/// The states correspond to the mechanisms of §5: active execution
-/// (optionally throttled), S3 suspend-to-RAM ("Sleep"), suspend-to-disk
-/// ("Hibernation"), and a full power-off; plus the transitional states the
-/// simulator needs (saving, resuming, booting).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub enum PowerState {
-    /// Executing the workload at some throttle level.
-    Active(ThrottleLevel),
-    /// Suspending to RAM (brief; CPU flushing context).
-    EnteringSleep,
-    /// S3: DRAM in self-refresh, everything else off (~5 W).
-    Sleeping,
-    /// Writing memory state to local disk, optionally throttled.
-    SavingToDisk(ThrottleLevel),
-    /// Suspend-to-disk complete; drawing no power.
-    Hibernated,
-    /// Off without saving anything (crash or deliberate shutdown).
-    Off,
-    /// Waking from S3 (fast: caches reload).
-    ResumingFromSleep,
-    /// Reading the hibernation image back from disk.
-    ResumingFromDisk,
-    /// Full platform boot after a shutdown or crash.
-    Booting,
-}
-
-impl PowerState {
-    /// Active and unthrottled.
-    #[must_use]
-    pub fn active_full() -> Self {
-        Self::Active(ThrottleLevel::NONE)
-    }
-
-    /// Active at the given throttle.
-    #[must_use]
-    pub fn active(level: ThrottleLevel) -> Self {
-        Self::Active(level)
-    }
-
-    /// Whether the workload makes forward progress in this state.
-    #[must_use]
-    pub fn is_serving(&self) -> bool {
-        matches!(self, Self::Active(_))
-    }
-
-    /// Whether volatile (DRAM) state survives this state.
-    ///
-    /// Active, sleeping, and the save/resume transitions keep DRAM powered;
-    /// hibernated state survives on disk; `Off` and `Booting` imply the
-    /// volatile state is gone unless it was previously persisted.
-    #[must_use]
-    pub fn preserves_memory(&self) -> bool {
-        !matches!(self, Self::Off | Self::Booting)
-    }
-}
-
-impl fmt::Display for PowerState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Active(l) if *l == ThrottleLevel::NONE => f.write_str("active"),
-            Self::Active(l) => write!(f, "active@{l}"),
-            Self::EnteringSleep => f.write_str("entering-sleep"),
-            Self::Sleeping => f.write_str("sleeping"),
-            Self::SavingToDisk(l) if *l == ThrottleLevel::NONE => f.write_str("saving-to-disk"),
-            Self::SavingToDisk(l) => write!(f, "saving-to-disk@{l}"),
-            Self::Hibernated => f.write_str("hibernated"),
-            Self::Off => f.write_str("off"),
-            Self::ResumingFromSleep => f.write_str("resuming-from-sleep"),
-            Self::ResumingFromDisk => f.write_str("resuming-from-disk"),
-            Self::Booting => f.write_str("booting"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,15 +260,6 @@ mod tests {
     #[test]
     fn cheapest_with_full_speed_is_unthrottled() {
         assert_eq!(ThrottleLevel::cheapest_with_speed(1.0), ThrottleLevel::NONE);
-    }
-
-    #[test]
-    fn serving_and_memory_flags() {
-        assert!(PowerState::active_full().is_serving());
-        assert!(!PowerState::Sleeping.is_serving());
-        assert!(PowerState::Sleeping.preserves_memory());
-        assert!(!PowerState::Off.preserves_memory());
-        assert!(PowerState::Hibernated.preserves_memory());
     }
 
     proptest! {

@@ -3,7 +3,7 @@
 use crate::ServerSpec;
 use dcb_units::{Fraction, Gigabytes, Seconds};
 
-/// Latency model for moving between [`crate::PowerState`]s.
+/// Latency model for moving between the server's power states.
 ///
 /// Calibration targets (Specjbb, 18 GB of state, Table 8):
 ///

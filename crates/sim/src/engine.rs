@@ -37,7 +37,6 @@ pub struct OutageSim {
     technique: Technique,
     migration: MigrationModel,
     consolidation: ConsolidationPlan,
-    tare_fraction: f64,
 }
 
 /// What the cluster is doing at an instant of the simulation.
@@ -118,9 +117,6 @@ pub(crate) struct RunState {
 impl OutageSim {
     /// Safety factor on the charge reserved for a fallback save.
     pub(crate) const FALLBACK_SAFETY: f64 = 1.1;
-    /// UPS electronics tare draw while discharging, as a fraction of the
-    /// unit's power rating.
-    const DEFAULT_TARE: f64 = 0.005;
 
     /// Creates a simulation with the default migration model (Xen over
     /// 1 Gbps) and the paper's 2-to-1 consolidation.
@@ -132,7 +128,6 @@ impl OutageSim {
             technique,
             migration: MigrationModel::xen_default(),
             consolidation: ConsolidationPlan::halve(),
-            tare_fraction: Self::DEFAULT_TARE,
         }
     }
 
@@ -140,21 +135,6 @@ impl OutageSim {
     #[must_use]
     pub fn with_consolidation(mut self, consolidation: ConsolidationPlan) -> Self {
         self.consolidation = consolidation;
-        self
-    }
-
-    /// Overrides the UPS tare fraction ([`Fraction::ZERO`] disables the
-    /// tare). Taking a [`Fraction`] makes out-of-range and NaN inputs
-    /// unrepresentable instead of policed by this builder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tare` is exactly 1: the tare must leave headroom for the
-    /// IT load itself.
-    #[must_use]
-    pub fn with_tare_fraction(mut self, tare: Fraction) -> Self {
-        assert!(tare.value() < 1.0, "tare must be in [0, 1)");
-        self.tare_fraction = tare.value();
         self
     }
 
@@ -225,9 +205,7 @@ impl OutageSim {
         if it.is_zero() {
             return it;
         }
-        let tare = backup
-            .ups()
-            .map_or(Watts::ZERO, |u| u.power_capacity() * self.tare_fraction);
+        let tare = backup.ups().map_or(Watts::ZERO, Ups::tare);
         (it + tare).min(self.cluster.peak_power().max(it))
     }
 
@@ -330,10 +308,7 @@ impl OutageSim {
 
     /// Whether a serving cluster must switch to its fallback *now* to keep
     /// the save (plus, for sleep, the rest of the outage) within the
-    /// remaining battery charge. `step` is the cost lookahead of the
-    /// stepped solver (one step of serving); the event kernel passes zero
-    /// and locates the crossing instant instead.
-    #[allow(clippy::too_many_arguments)]
+    /// remaining battery charge.
     pub(crate) fn must_fall_back(
         &self,
         fallback: Fallback,
@@ -342,11 +317,10 @@ impl OutageSim {
         mode: &Mode,
         t: Seconds,
         outage: Seconds,
-        step: Seconds,
     ) -> bool {
         let charge = backup.ups().map_or(Fraction::ZERO, Ups::charge);
         self.fallback_plan(fallback, backup, transitions, mode)
-            .falls_back(charge, t, outage, step)
+            .falls_back(charge, t, outage)
     }
 
     /// The [`FallbackPlan`] of a cluster serving in `mode` on `backup`,
@@ -367,7 +341,7 @@ impl OutageSim {
             let n = self.active_servers(share);
             let spec = self.cluster.spec();
             let util = self.cluster.workload().utilization();
-            let tare = ups.power_capacity() * self.tare_fraction;
+            let tare = ups.tare();
             let (save, asleep) = match fallback {
                 Fallback::Sleep(level) => (
                     Some((
@@ -386,13 +360,12 @@ impl OutageSim {
                     )),
                     None,
                 ),
-                // NVDIMM persistence is supercap-powered: no reserve needed;
-                // serve until the battery cannot cover even the next step.
+                // NVDIMM persistence is supercap-powered: no reserve needed,
+                // so the fallback is due only once the battery is flat.
                 Fallback::Nvdimm => (None, None),
             };
             Reserve {
                 pack: ups.pack(),
-                serving: Draw::new(serving_load),
                 save,
                 asleep,
             }
@@ -596,8 +569,6 @@ pub(crate) struct FallbackPlan<'a> {
 /// The charge a fallback save needs from the battery.
 struct Reserve {
     pack: PackSpec,
-    /// One more step of serving (the stepped solver's lookahead).
-    serving: Draw,
     /// The fixed-length save and its duration: sleep entry or the
     /// hibernate image write. `None` for NVDIMM.
     save: Option<(Draw, Seconds)>,
@@ -609,13 +580,13 @@ struct Reserve {
 /// A constant load drawn from the battery, with the pack's runtime at it
 /// once solved.
 #[derive(Clone, Copy)]
-struct Draw {
+pub(crate) struct Draw {
     load: Watts,
     runtime: Option<Seconds>,
 }
 
 impl Draw {
-    fn new(load: Watts) -> Self {
+    pub(crate) fn new(load: Watts) -> Self {
         Self {
             load,
             runtime: None,
@@ -624,7 +595,7 @@ impl Draw {
 
     /// Charge fraction carrying the load for `duration` spends
     /// (rate-dependent Peukert accounting).
-    fn charge(&self, pack: PackSpec, duration: Seconds) -> f64 {
+    pub(crate) fn charge(&self, pack: PackSpec, duration: Seconds) -> f64 {
         if duration.value() <= 0.0 {
             return 0.0;
         }
@@ -661,18 +632,24 @@ impl FallbackPlan<'_> {
 
     /// Whether a cluster serving at `t` with the battery at `charge` must
     /// fall back now (see [`OutageSim::must_fall_back`]).
-    pub(crate) fn falls_back(
-        &self,
-        charge: Fraction,
-        t: Seconds,
-        outage: Seconds,
-        step: Seconds,
-    ) -> bool {
+    #[inline]
+    pub(crate) fn falls_back(&self, charge: Fraction, t: Seconds, outage: Seconds) -> bool {
+        self.reserve(charge, t, outage)
+            .is_some_and(|reserve| charge.value() <= reserve.min(1.0))
+    }
+
+    /// The charge fraction the fallback keeps in reserve for a cluster
+    /// serving at `t` with the battery at `charge`, safety factor included:
+    /// `None` while the serving load is carried indefinitely (no fallback
+    /// is ever due), infinite without a battery (save immediately; it will
+    /// fail anyway).
+    #[inline]
+    pub(crate) fn reserve(&self, charge: Fraction, t: Seconds, outage: Seconds) -> Option<f64> {
         if self.endurance.at(charge, t).value().is_infinite() {
-            return false;
+            return None;
         }
         let Some(r) = &self.reserve else {
-            return true; // no battery at all: save immediately (will fail anyway)
+            return Some(f64::INFINITY);
         };
         let needed = r.save.map_or(0.0, |(save, duration)| {
             let entry = save.charge(r.pack, duration);
@@ -684,10 +661,7 @@ impl FallbackPlan<'_> {
                 None => entry,
             }
         });
-        // Serving one more step costs this much charge; fall back when we
-        // can no longer afford both.
-        let step_cost = r.serving.charge(r.pack, step);
-        charge.value() <= (needed * OutageSim::FALLBACK_SAFETY + step_cost).min(1.0)
+        Some(needed * OutageSim::FALLBACK_SAFETY)
     }
 }
 
@@ -1005,23 +979,11 @@ mod tests {
     }
 
     #[test]
-    fn tare_fraction_takes_a_validated_fraction() {
-        let base = sim(BackupConfig::no_dg(), Technique::ride_through());
-        // Zero tare stretches the battery slightly further than the default.
-        let no_tare = base
-            .clone()
-            .with_tare_fraction(Fraction::ZERO)
-            .run(minutes(10.0));
-        let default_tare = base.run(minutes(10.0));
-        assert!(no_tare.perf_during_outage >= default_tare.perf_during_outage);
-    }
-
-    #[test]
     fn solved_fallback_plan_agrees_with_must_fall_back() {
         // The solved plan a located search evaluates must answer exactly
         // as `must_fall_back` on a backup probed to the same charge: for
-        // sleep, hibernate and NVDIMM fallbacks, a full and a consolidated
-        // serving share, and the stepper's one-step lookahead.
+        // sleep, hibernate and NVDIMM fallbacks and a full and a
+        // consolidated serving share.
         let level = crate::technique::low_power_level();
         let transitions = TransitionTimes::new(*Cluster::rack(Workload::specjbb()).spec());
         let outage = minutes(120.0);
@@ -1048,40 +1010,24 @@ mod tests {
                     for charge in (0..=20).map(|i| Fraction::new(f64::from(i) / 20.0)) {
                         let probe = backup.with_ups_charge(charge);
                         for t in [0.0, 10.0, 60.0, 119.0, 600.0, 3_000.0, 7_190.0] {
-                            for step in [0.0, 0.25, 30.0] {
-                                let (t, step) = (Seconds::new(t), Seconds::new(step));
-                                let planned = plan.falls_back(charge, t, outage, step);
-                                let direct = sim.must_fall_back(
-                                    fb,
-                                    &probe,
-                                    &transitions,
-                                    &mode,
-                                    t,
-                                    outage,
-                                    step,
-                                );
-                                assert_eq!(
-                                    planned,
-                                    direct,
-                                    "{} {} share {share:?} charge {charge:?} t {t} step {step}",
-                                    config.label(),
-                                    technique.name()
-                                );
-                                fallbacks_seen += usize::from(direct);
-                            }
+                            let t = Seconds::new(t);
+                            let planned = plan.falls_back(charge, t, outage);
+                            let direct =
+                                sim.must_fall_back(fb, &probe, &transitions, &mode, t, outage);
+                            assert_eq!(
+                                planned,
+                                direct,
+                                "{} {} share {share:?} charge {charge:?} t {t}",
+                                config.label(),
+                                technique.name()
+                            );
+                            fallbacks_seen += usize::from(direct);
                         }
                     }
                 }
             }
         }
         // The grid reaches both answers.
-        assert!(fallbacks_seen > 0 && fallbacks_seen < 5 * 4 * 2 * 21 * 7 * 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "tare must be in [0, 1)")]
-    fn full_tare_fraction_rejected() {
-        let _ =
-            sim(BackupConfig::no_dg(), Technique::ride_through()).with_tare_fraction(Fraction::ONE);
+        assert!(fallbacks_seen > 0 && fallbacks_seen < 5 * 4 * 2 * 21 * 7);
     }
 }

@@ -470,7 +470,7 @@ impl OutageSim {
             }
         }
         if let (Mode::Serving { .. }, Some(fb)) = (&st.mode, self.technique().fallback()) {
-            if self.must_fall_back(fb, backup, transitions, &st.mode, t, outage, Seconds::ZERO) {
+            if self.must_fall_back(fb, backup, transitions, &st.mode, t, outage) {
                 st.mode = self.fallback_mode(fb, transitions);
             }
         }
@@ -590,7 +590,7 @@ impl OutageSim {
         let fall_back = fallback.and_then(|fb| {
             let plan = self.fallback_plan(fb, backup, transitions, mode).solved();
             first_true(t, hi, |tau| {
-                plan.falls_back(projection.charge_at(tau), tau, outage, Seconds::ZERO)
+                plan.falls_back(projection.charge_at(tau), tau, outage)
             })
         });
         (unthrottle, fall_back)

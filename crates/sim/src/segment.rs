@@ -133,18 +133,13 @@ impl Trajectory {
             "segments cover {cursor}, outage is {}",
             self.outcome.outage
         );
-        let served: f64 = self.segments.iter().map(Segment::throughput_seconds).sum();
+        let served = self.served_seconds();
         let expected = self.outcome.perf_during_outage.value() * self.outcome.outage.value();
         contract!(
             (served - expected).abs() < 1e-6 * expected.max(1.0),
             "segment throughput integral {served} disagrees with outcome {expected}"
         );
-        let down: f64 = self
-            .segments
-            .iter()
-            .filter(|s| s.in_downtime)
-            .map(|s| s.duration().value())
-            .sum();
+        let down = self.downtime_seconds();
         contract!(
             (down - self.outcome.downtime_during_outage.value()).abs() < 1e-6,
             "segment downtime integral {down} disagrees with outcome {}",

@@ -14,9 +14,9 @@
 //! Being `#[cfg(test)]`, it cannot be called from model code: production
 //! callers use [`OutageSim::run`](crate::OutageSim::run).
 
-use crate::engine::{Mode, OutageSim, RunState};
+use crate::engine::{Draw, Mode, OutageSim, RunState};
 use crate::{Fallback, SimOutcome};
-use dcb_power::BackupSystem;
+use dcb_power::{BackupSystem, Ups};
 use dcb_server::{ThrottleLevel, TransitionTimes};
 use dcb_units::{Fraction, Seconds};
 use dcb_workload::Workload;
@@ -66,17 +66,22 @@ fn advance_one(world: &mut StepWorld) {
             }
         }
     }
-    // Hybrid fallback decision.
+    // Hybrid fallback decision: serving one more step costs `step_cost`
+    // of charge; fall back when the battery can no longer afford both the
+    // step and the fallback's reserve.
     if let (Mode::Serving { .. }, Some(fb)) = (&world.mode, world.sim.technique().fallback()) {
-        if world.sim.must_fall_back(
-            fb,
-            world.backup,
-            &world.transitions,
-            &world.mode,
-            world.t,
-            world.outage,
-            dt,
-        ) {
+        let plan = world
+            .sim
+            .fallback_plan(fb, world.backup, &world.transitions, &world.mode);
+        let ups = world.backup.ups();
+        let charge = ups.map_or(Fraction::ZERO, Ups::charge);
+        let step_cost = ups.map_or(0.0, |ups| {
+            Draw::new(world.sim.supply_load(&world.mode, world.backup)).charge(ups.pack(), dt)
+        });
+        if plan
+            .reserve(charge, world.t, world.outage)
+            .is_some_and(|reserve| charge.value() <= (reserve + step_cost).min(1.0))
+        {
             world.mode = world.sim.fallback_mode(fb, &world.transitions);
         }
     }

@@ -38,13 +38,11 @@
 #![warn(missing_docs)]
 
 mod dirty;
-mod latency;
 mod load;
 mod recovery;
 mod workload;
 
 pub use dirty::DirtyProfile;
-pub use latency::LatencyModel;
 pub use load::LoadProfile;
 pub use recovery::{DowntimeRange, RecoveryModel};
 pub use workload::{Workload, WorkloadKind};
