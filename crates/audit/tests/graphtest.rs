@@ -81,6 +81,42 @@ fn taint_chain_is_detected_with_a_complete_path() {
 }
 
 #[test]
+fn keyed_scenario_digest_is_a_sink() {
+    // The real `dcb-fleet` scenario module, not a stand-in: renaming
+    // `ClusterKey::digest` must not drop it from the pass unnoticed.
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../fleet/src/scenario.rs");
+    let source = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{} unreadable: {e}", path.display()));
+    let scenario = SourceFile {
+        path,
+        rel: "crates/fleet/src/scenario.rs".to_owned(),
+        role: Role::Library,
+        crate_name: "fleet".to_owned(),
+    };
+    let findings = analyze(vec![
+        (scenario, source),
+        load("graph_taint_cluster_key.rs", "power"),
+    ]);
+    assert_eq!(
+        messages(&findings),
+        [
+            "wall-clock in `power::jitter` reaches determinism sink `fleet::ClusterKey::digest` (scenario-digest)",
+            // Method calls resolve by name, so `.digest()` reaches
+            // `Scenario::digest` too.
+            "wall-clock in `power::jitter` reaches determinism sink `fleet::Scenario::digest` (scenario-digest)",
+        ],
+    );
+    let f = &findings[0];
+    assert_eq!(f.path.len(), 3, "path: {:?}", f.path);
+    assert!(f.path[0].detail.contains("sink"), "path: {:?}", f.path);
+    assert!(
+        f.path[2].detail.contains("source: wall-clock"),
+        "path: {:?}",
+        f.path
+    );
+}
+
+#[test]
 fn engine_calendar_sink_is_detected() {
     let findings = analyze(vec![
         load("graph_engine_sinks.rs", "engine"),

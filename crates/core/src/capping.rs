@@ -80,16 +80,18 @@ impl PeakShaving {
 
         let spec = cluster.spec();
         let n = f64::from(cluster.size());
-        let load_at = |t: Seconds| -> Watts {
-            spec.active_power(
-                dcb_server::ThrottleLevel::NONE,
-                cluster.workload().utilization_at(t),
-            ) * n
-        };
+        // Each minute's load, evaluated once for the peak and the day.
+        let loads: Vec<Watts> = (0..24 * 60)
+            .map(|m| {
+                let t = Seconds::from_minutes(f64::from(m));
+                spec.active_power(
+                    dcb_server::ThrottleLevel::NONE,
+                    cluster.workload().utilization_at(t),
+                ) * n
+            })
+            .collect();
         // Peak load over the day defines the utility cap in watts.
-        let peak_load = (0..24 * 60)
-            .map(|m| load_at(Seconds::from_minutes(f64::from(m))))
-            .fold(Watts::ZERO, Watts::max);
+        let peak_load = loads.iter().copied().fold(Watts::ZERO, Watts::max);
         let cap = peak_load * self.utility_cap.value();
 
         // Readiness: the charge needed to carry the peak load for the
@@ -107,12 +109,10 @@ impl PeakShaving {
         let mut min_charge = Fraction::ONE;
         let mut hourly = Vec::with_capacity(24);
         let mut unready_minutes = 0u32;
-        for minute in 0..(24 * 60) {
-            let t = Seconds::from_minutes(f64::from(minute));
+        for (minute, &load) in loads.iter().enumerate() {
             if minute % 60 == 0 {
                 hourly.push(battery.charge());
             }
-            let load = load_at(t);
             if load > cap {
                 let outcome = battery.draw(load - cap, step);
                 shaved += outcome.energy_delivered;

@@ -2,7 +2,8 @@
 //! (configuration, technique, outage) point.
 
 use crate::cost::{CostModel, Normalizer};
-use dcb_fleet::Scenario;
+use crate::fleet::{evaluate_keyed, pool};
+use dcb_fleet::ClusterKey;
 use dcb_power::BackupConfig;
 use dcb_sim::{Cluster, OutageSim, SimOutcome, Technique};
 use dcb_units::Seconds;
@@ -143,11 +144,11 @@ pub fn best_technique(
     catalog: &[Technique],
 ) -> Performability {
     assert!(!catalog.is_empty(), "technique catalog must not be empty");
-    let scenarios: Vec<Scenario> = catalog
-        .iter()
-        .map(|t| Scenario::new(cluster, config, t, duration))
-        .collect();
-    pick_best(&crate::fleet::run_all(&scenarios)).clone()
+    let key = ClusterKey::new(cluster);
+    let points = pool().run_all(catalog, |technique| {
+        evaluate_keyed(&key, config, technique, duration)
+    });
+    pick_best(&points).clone()
 }
 
 /// A full configuration × duration sweep with best-technique selection:
@@ -172,15 +173,18 @@ pub fn sweep_configs(
     assert!(!catalog.is_empty(), "technique catalog must not be empty");
     let _span = dcb_telemetry::span("sweep_configs");
     let _prof = dcb_prof::frame("sweep_configs");
-    let mut scenarios = Vec::with_capacity(configs.len() * durations.len() * catalog.len());
+    let mut points = Vec::with_capacity(configs.len() * durations.len() * catalog.len());
     for config in configs {
         for &duration in durations {
             for technique in catalog {
-                scenarios.push(Scenario::new(cluster, config, technique, duration));
+                points.push((config, technique, duration));
             }
         }
     }
-    let evaluated = crate::fleet::run_all(&scenarios);
+    let key = ClusterKey::new(cluster);
+    let evaluated = pool().run_all(&points, |&(config, technique, duration)| {
+        evaluate_keyed(&key, config, technique, duration)
+    });
     let mut rows = Vec::with_capacity(configs.len() * durations.len());
     for point in evaluated.chunks(catalog.len()) {
         rows.push(pick_best(point).clone());
@@ -201,13 +205,16 @@ pub fn sweep_techniques(
 ) -> Vec<Performability> {
     let _span = dcb_telemetry::span("sweep_techniques");
     let _prof = dcb_prof::frame("sweep_techniques");
-    let mut scenarios = Vec::with_capacity(catalog.len() * durations.len());
+    let mut points = Vec::with_capacity(catalog.len() * durations.len());
     for technique in catalog {
         for &duration in durations {
-            scenarios.push(Scenario::new(cluster, config, technique, duration));
+            points.push((technique, duration));
         }
     }
-    crate::fleet::run_all(&scenarios)
+    let key = ClusterKey::new(cluster);
+    pool().run_all(&points, |&(technique, duration)| {
+        evaluate_keyed(&key, config, technique, duration)
+    })
 }
 
 /// The outage durations the paper's Figure 5/6 panels use.

@@ -4,13 +4,16 @@
 //!
 //! The pool is sized once from the environment (`DCB_THREADS`, then
 //! [`std::thread::available_parallelism`]); the cache is keyed by
-//! [`Scenario::digest`], so a configuration × duration point simulated for
-//! Figure 5 is never re-simulated by the sizing search or the planner.
-//! Parallel results are bit-identical to serial evaluation — see the
-//! determinism contract in [`dcb_fleet`].
+//! [`ClusterKey::digest`] (the same value as [`Scenario::digest`]), so a
+//! point is simulated once per process however many sweeps and searches
+//! visit it. Parallel results are bit-identical to serial evaluation —
+//! see the determinism contract in [`dcb_fleet`].
 
 use crate::evaluate::{evaluate, Performability};
-use dcb_fleet::{CacheStats, EvalCache, FleetPool, Scenario};
+use dcb_fleet::{CacheStats, ClusterKey, EvalCache, FleetPool, Scenario};
+use dcb_power::BackupConfig;
+use dcb_sim::Technique;
+use dcb_units::Seconds;
 use std::sync::OnceLock;
 
 /// The process-wide evaluation pool.
@@ -29,38 +32,44 @@ pub fn cache() -> &'static EvalCache<Performability> {
 /// memoized [`Performability`]; a miss simulates and caches it.
 #[must_use]
 pub fn evaluate_scenario(scenario: &Scenario) -> Performability {
-    cache().get_or_compute(scenario.digest(), || {
-        evaluate(
-            &scenario.cluster,
-            &scenario.config,
-            &scenario.technique,
-            scenario.duration,
-        )
-    })
+    let Scenario {
+        cluster,
+        config,
+        technique,
+        duration,
+    } = scenario;
+    evaluate_keyed(&ClusterKey::new(cluster), config, technique, *duration)
 }
 
-/// Evaluates a batch of scenarios on the shared pool, preserving input
-/// ordering. Each scenario goes through the shared cache, so repeated
-/// points cost one simulation process-wide.
+/// [`evaluate_scenario`] for the point (`key`'s cluster, `config`,
+/// `technique`, `duration`), digested from the key's saved cluster prefix:
+/// a search or sweep over one cluster builds one key for all its points.
 ///
 /// ```
 /// use dcb_core::fleet;
 /// use dcb_core::{BackupConfig, Cluster, Technique};
-/// use dcb_fleet::Scenario;
+/// use dcb_fleet::ClusterKey;
 /// use dcb_units::Seconds;
 /// use dcb_workload::Workload;
 ///
 /// let cluster = Cluster::rack(Workload::specjbb());
-/// let scenarios: Vec<Scenario> = Technique::catalog()
+/// let key = ClusterKey::new(&cluster);
+/// let results: Vec<_> = Technique::catalog()
 ///     .iter()
-///     .map(|t| Scenario::new(&cluster, &BackupConfig::max_perf(), t, Seconds::new(30.0)))
+///     .map(|t| fleet::evaluate_keyed(&key, &BackupConfig::max_perf(), t, Seconds::new(30.0)))
 ///     .collect();
-/// let results = fleet::run_all(&scenarios);
-/// assert_eq!(results.len(), scenarios.len());
+/// assert_eq!(results.len(), Technique::catalog().len());
 /// ```
 #[must_use]
-pub fn run_all(scenarios: &[Scenario]) -> Vec<Performability> {
-    pool().run_all(scenarios, evaluate_scenario)
+pub fn evaluate_keyed(
+    key: &ClusterKey<'_>,
+    config: &BackupConfig,
+    technique: &Technique,
+    duration: Seconds,
+) -> Performability {
+    cache().get_or_compute(key.digest(config, technique, duration), || {
+        evaluate(key.cluster(), config, technique, duration)
+    })
 }
 
 /// Hit/miss counters of the shared cache.
@@ -78,9 +87,7 @@ pub fn clear_cache() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcb_power::BackupConfig;
-    use dcb_sim::{Cluster, Technique};
-    use dcb_units::Seconds;
+    use dcb_sim::Cluster;
     use dcb_workload::Workload;
 
     #[test]
@@ -104,14 +111,18 @@ mod tests {
     }
 
     #[test]
-    fn run_all_preserves_order() {
-        let cluster = Cluster::rack(Workload::specjbb());
-        let scenarios: Vec<Scenario> = Technique::catalog()
-            .iter()
-            .map(|t| Scenario::new(&cluster, &BackupConfig::no_dg(), t, Seconds::new(30.0)))
-            .collect();
-        let batch = run_all(&scenarios);
-        let serial: Vec<Performability> = scenarios.iter().map(evaluate_scenario).collect();
-        assert_eq!(batch, serial);
+    fn keyed_evaluation_matches_direct_and_memoizes() {
+        let cluster = Cluster::rack(Workload::memcached());
+        let key = ClusterKey::new(&cluster);
+        let (config, at) = (BackupConfig::small_pups(), Seconds::from_minutes(11.0));
+        for technique in Technique::catalog() {
+            let direct = evaluate(&cluster, &config, &technique, at);
+            assert_eq!(evaluate_keyed(&key, &config, &technique, at), direct);
+            // The first call cached the point under the scenario's digest,
+            // so the second is a hit on the same value.
+            let digest = Scenario::new(&cluster, &config, &technique, at).digest();
+            assert_eq!(cache().get(digest).as_ref(), Some(&direct));
+            assert_eq!(evaluate_keyed(&key, &config, &technique, at), direct);
+        }
     }
 }

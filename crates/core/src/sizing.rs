@@ -11,9 +11,9 @@
 use crate::cost::CostModel;
 use crate::evaluate::Performability;
 use crate::fleet;
-use dcb_fleet::Scenario;
+use dcb_fleet::ClusterKey;
 use dcb_power::BackupConfig;
-use dcb_sim::{Cluster, Technique};
+use dcb_sim::{Cluster, InitialAction, Technique};
 use dcb_units::{Fraction, Seconds};
 
 /// Acceptance criteria for a sized configuration.
@@ -83,13 +83,26 @@ pub struct SizedPoint {
 /// The UPS power fractions the search considers.
 const POWER_FRACTIONS: [f64; 8] = [0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0];
 
+/// A probed UPS-only configuration, labelled `UPS <power>% × <runtime>min`
+/// with both numbers rounded to whole ones.
 fn ups_only(power: f64, runtime: Seconds) -> BackupConfig {
     BackupConfig::custom(
-        format!("UPS {:.0}% × {:.0}min", power * 100.0, runtime.to_minutes()),
+        format!(
+            "UPS {}% × {}min",
+            whole(power * 100.0),
+            whole(runtime.to_minutes())
+        ),
         Fraction::ZERO,
         Fraction::new(power),
         runtime,
     )
+}
+
+/// `value` rounded to an integer, ties to even. For a finite, non-negative
+/// `value` below 2^53 this prints exactly what `{:.0}` prints, which runs
+/// an exact-mode float formatter at several times the cost.
+fn whole(value: f64) -> u64 {
+    value.round_ties_even() as u64
 }
 
 /// Finds the minimum-cost UPS-only configuration under which `technique`
@@ -125,16 +138,22 @@ pub fn min_cost_ups(
     targets: &SizingTargets,
 ) -> Option<SizedPoint> {
     dcb_telemetry::counter!("core.sizing.searches").incr();
-    // Price the baseline once, outside the fraction loop.
+    // Price the baseline once, outside the fraction loop. The cost model
+    // never reads a label, so prices come from unlabelled configurations.
     let normalizer = CostModel::paper().normalizer();
-    let cost = |power: f64, runtime: Seconds| normalizer.normalized_cost(&ups_only(power, runtime));
+    let cost = |power: f64, runtime: Seconds| {
+        let config =
+            BackupConfig::custom(String::new(), Fraction::ZERO, Fraction::new(power), runtime);
+        normalizer.normalized_cost(&config)
+    };
     // Generous energy ceiling: ride the whole outage plus save overheads.
     let max_runtime = (duration * 1.5 + Seconds::from_minutes(40.0))
         .min(Seconds::from_minutes(480.0))
         .max(Seconds::from_minutes(4.0));
+    let key = ClusterKey::new(cluster);
     let try_runtime = |power: f64, runtime: Seconds| -> Option<SizedPoint> {
         let config = ups_only(power, runtime);
-        let p = fleet::evaluate_scenario(&Scenario::new(cluster, &config, technique, duration));
+        let p = fleet::evaluate_keyed(&key, &config, technique, duration);
         targets.satisfied_by(&p).then_some(SizedPoint {
             config,
             performability: p,
@@ -183,7 +202,8 @@ pub fn min_cost_ups(
 /// Sizes every technique in `catalog` at every duration — the full data
 /// behind one Figure 6/7/8/9 panel, in technique-major order. Entries are
 /// `None` where the technique cannot meet the targets at any candidate UPS
-/// size; Crash is priced at MinCost without reading `targets`.
+/// size; a technique whose initial action is [`InitialAction::Crash`] is
+/// the crash baseline, priced at MinCost without reading `targets`.
 ///
 /// The whole grid is one batch on the shared [`crate::fleet`] pool, the
 /// sizing search's only parallelism: each cell's [`min_cost_ups`] runs
@@ -210,12 +230,15 @@ pub fn technique_tradeoffs(
     }
     let points = fleet::pool().run_all(&cells, |(technique, duration)| {
         // The crash baseline needs no backup at all: report MinCost.
-        if technique.name() == Technique::crash().name() {
+        if matches!(technique.initial(), InitialAction::Crash) {
             let config = BackupConfig::min_cost();
             Some(SizedPoint {
-                performability: fleet::evaluate_scenario(&Scenario::new(
-                    cluster, &config, technique, *duration,
-                )),
+                performability: fleet::evaluate_keyed(
+                    &ClusterKey::new(cluster),
+                    &config,
+                    technique,
+                    *duration,
+                ),
                 config,
             })
         } else {
@@ -233,6 +256,7 @@ pub fn technique_tradeoffs(
 mod tests {
     use super::*;
     use crate::evaluate::paper_durations;
+    use dcb_fleet::Scenario;
     use dcb_server::{PState, TState, ThrottleLevel};
     use dcb_workload::Workload;
     use proptest::prelude::*;
@@ -522,6 +546,44 @@ mod tests {
     }
 
     #[test]
+    fn labels_print_what_float_formatting_printed() {
+        // Every fraction at every runtime of 1/64 min granularity over the
+        // search's 2–480 min span, which holds every exact half-minute tie.
+        for power in POWER_FRACTIONS {
+            for k in 128..=30_720 {
+                let runtime = Seconds::from_minutes(f64::from(k) / 64.0);
+                let formatted =
+                    format!("UPS {:.0}% × {:.0}min", power * 100.0, runtime.to_minutes());
+                assert_eq!(ups_only(power, runtime).label(), formatted);
+            }
+        }
+    }
+
+    #[test]
+    fn crash_baseline_is_picked_by_its_initial_action() {
+        // A ride-through named "Crash" is sized like any other technique,
+        // and a crash under another name is the MinCost baseline.
+        let continuing =
+            Technique::named("Crash", InitialAction::Continue(ThrottleLevel::NONE), None);
+        let halting = Technique::named("Halt", InitialAction::Crash, None);
+        let (duration, targets) = (Seconds::new(30.0), SizingTargets::execute_to_plan());
+        let rows = technique_tradeoffs(
+            &cluster(),
+            &[continuing.clone(), halting],
+            &[duration],
+            &targets,
+        );
+        let searched = min_cost_ups(&cluster(), &continuing, duration, &targets);
+        assert!(searched.is_some(), "a ride-through is sizable for 30 s");
+        assert_eq!(rows[0].2, searched);
+        let baseline = rows[1]
+            .2
+            .as_ref()
+            .expect("the crash baseline is always priced");
+        assert_eq!(baseline.config, BackupConfig::min_cost());
+    }
+
+    #[test]
     fn tradeoffs_table_covers_catalog() {
         let rows = technique_tradeoffs(
             &cluster(),
@@ -568,6 +630,17 @@ mod tests {
                 same_bits(pruned.as_ref(), blind.as_ref()),
                 "pruned {pruned:?}, blind {blind:?}"
             );
+        }
+
+        #[test]
+        fn whole_rounds_as_float_formatting_does(
+            value in prop_oneof![
+                0.0f64..9_007_199_254_740_992.0,
+                0.0f64..1_000.0,
+                (0u64..1 << 40).prop_map(|halves| halves as f64 / 2.0),
+            ],
+        ) {
+            prop_assert_eq!(whole(value).to_string(), format!("{value:.0}"));
         }
 
         #[test]

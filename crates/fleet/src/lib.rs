@@ -20,6 +20,8 @@
 //!   [`StableHash`] encoding, re-exported here with its [`StableHasher`].
 //! * [`Scenario`] — the canonical evaluation key: one
 //!   `(cluster, config, technique, duration)` point with a stable digest.
+//!   [`ClusterKey`] computes that digest from the cluster's prefix,
+//!   absorbed once for every point on the cluster.
 //! * [`FleetPool::monte_carlo`] — sharded Monte-Carlo driving with
 //!   per-trial seeding ([`trial_seed`]), making results invariant to the
 //!   shard count for a fixed base seed.
@@ -47,4 +49,4 @@ mod scenario;
 pub use cache::{CacheStats, EvalCache};
 pub use dcb_units::{StableHash, StableHasher};
 pub use pool::{trial_seed, FleetPool, Trial};
-pub use scenario::Scenario;
+pub use scenario::{ClusterKey, Scenario};

@@ -1,5 +1,6 @@
 //! The canonical evaluation key: one (cluster, config, technique, duration)
-//! point.
+//! point, digested through [`ClusterKey`], which absorbs the cluster once
+//! for every point on it.
 
 use dcb_power::BackupConfig;
 use dcb_sim::{Cluster, Technique};
@@ -42,32 +43,77 @@ impl Scenario {
     }
 
     /// The scenario's stable 128-bit digest, suitable as an
-    /// [`crate::EvalCache`] key.
-    ///
-    /// Hashes each component through its typed [`StableHash`] encoding:
-    /// every field — server spec, workload parameters, DG/UPS fractions,
-    /// battery runtime and chemistry, technique actions, the duration —
-    /// participates, floats by IEEE-754 bit pattern.
+    /// [`crate::EvalCache`] key: [`ClusterKey::digest`] on a fresh key for
+    /// its cluster.
     #[must_use]
     pub fn digest(&self) -> u128 {
-        let mut hasher = StableHasher::new();
-        self.stable_hash(&mut hasher);
-        hasher.finish()
-    }
-}
-
-impl StableHash for Scenario {
-    fn stable_hash(&self, hasher: &mut StableHasher) {
         let Self {
             cluster,
             config,
             technique,
             duration,
         } = self;
-        cluster.stable_hash(hasher);
-        config.stable_hash(hasher);
-        technique.stable_hash(hasher);
-        duration.stable_hash(hasher);
+        ClusterKey::new(cluster).digest(config, technique, *duration)
+    }
+}
+
+/// A cluster with its digest prefix absorbed: the key under which every
+/// scenario on that cluster is memoized.
+///
+/// FNV-1a absorbs one byte after another, so the hasher state after the
+/// cluster's encoding (most of a scenario's bytes) can be saved and
+/// resumed. A search or sweep that evaluates many points on one cluster
+/// builds one key and digests each point from the saved state; the key
+/// borrows its cluster, so a prefix cannot be resumed for another.
+///
+/// ```
+/// use dcb_fleet::{ClusterKey, Scenario};
+/// use dcb_power::BackupConfig;
+/// use dcb_sim::{Cluster, Technique};
+/// use dcb_units::Seconds;
+/// use dcb_workload::Workload;
+///
+/// let cluster = Cluster::rack(Workload::specjbb());
+/// let key = ClusterKey::new(&cluster);
+/// let (config, technique) = (BackupConfig::no_dg(), Technique::sleep());
+/// let at = Seconds::new(30.0);
+/// let scenario = Scenario::new(&cluster, &config, &technique, at);
+/// assert_eq!(key.digest(&config, &technique, at), scenario.digest());
+/// ```
+#[derive(Debug)]
+pub struct ClusterKey<'a> {
+    cluster: &'a Cluster,
+    prefix: StableHasher,
+}
+
+impl<'a> ClusterKey<'a> {
+    /// Absorbs `cluster`'s encoding once.
+    #[must_use]
+    pub fn new(cluster: &'a Cluster) -> Self {
+        let mut prefix = StableHasher::new();
+        cluster.stable_hash(&mut prefix);
+        Self { cluster, prefix }
+    }
+
+    /// The cluster whose prefix this key holds.
+    #[must_use]
+    pub fn cluster(&self) -> &'a Cluster {
+        self.cluster
+    }
+
+    /// The digest of the scenario (this key's cluster, `config`,
+    /// `technique`, `duration`): each component's typed [`StableHash`]
+    /// encoding, in that order. Every field — server spec, workload
+    /// parameters, DG/UPS fractions, battery runtime and chemistry,
+    /// technique actions, the duration — participates, floats by IEEE-754
+    /// bit pattern.
+    #[must_use]
+    pub fn digest(&self, config: &BackupConfig, technique: &Technique, duration: Seconds) -> u128 {
+        let mut hasher = self.prefix.clone();
+        config.stable_hash(&mut hasher);
+        technique.stable_hash(&mut hasher);
+        duration.stable_hash(&mut hasher);
+        hasher.finish()
     }
 }
 

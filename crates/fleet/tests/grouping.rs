@@ -5,10 +5,12 @@
 //! [`Scenario::digest`] hashes each field's typed encoding; the `Debug`
 //! text stays here as an independent oracle. Equal digests must mean
 //! equal renderings and unequal digests unequal ones, so the evaluation
-//! cache hits and misses on exactly the same scenarios either way.
+//! cache hits and misses on exactly the same scenarios either way. A
+//! [`ClusterKey`] reused across scenarios must digest each as one fresh
+//! hasher over all four components does.
 
 use dcb_battery::Chemistry;
-use dcb_fleet::Scenario;
+use dcb_fleet::{ClusterKey, Scenario, StableHash, StableHasher};
 use dcb_power::BackupConfig;
 use dcb_server::{PState, ServerSpec, TState, ThrottleLevel};
 use dcb_sim::{Cluster, Fallback, InitialAction, Technique};
@@ -130,6 +132,38 @@ proptest! {
             "digest and Debug text disagree ({})",
             first_difference(&text_a, &text_b)
         );
+    }
+}
+
+/// A scenario's digest from one fresh hasher over cluster, config,
+/// technique and duration, in that order: what a [`ClusterKey`] must give
+/// when it resumes its saved cluster prefix.
+fn one_hasher_digest(s: &Scenario) -> u128 {
+    let mut hasher = StableHasher::new();
+    s.cluster.stable_hash(&mut hasher);
+    s.config.stable_hash(&mut hasher);
+    s.technique.stable_hash(&mut hasher);
+    s.duration.stable_hash(&mut hasher);
+    hasher.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One cluster key, reused for many scenarios on its cluster, gives
+    /// each the one-hasher digest.
+    #[test]
+    fn a_reused_cluster_key_digests_as_a_fresh_hasher(seed in 0u64..u64::MAX) {
+        let mut rng = TestRng::seeded(seed);
+        let cluster = scenario(&mut rng).cluster;
+        let key = ClusterKey::new(&cluster);
+        prop_assert!(std::ptr::eq(key.cluster(), &cluster));
+        for _ in 0..8 {
+            let s = Scenario { cluster, ..scenario(&mut rng) };
+            let expected = one_hasher_digest(&s);
+            prop_assert_eq!(key.digest(&s.config, &s.technique, s.duration), expected);
+            prop_assert_eq!(s.digest(), expected);
+        }
     }
 }
 

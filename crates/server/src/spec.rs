@@ -143,21 +143,6 @@ impl ServerSpec {
         let dynamic = self.peak_power - self.idle_power;
         self.idle_power + dynamic * (utilization.value() * throttle.dynamic_power_factor())
     }
-
-    /// The lowest sustained active power reachable through throttling alone
-    /// (full utilization at the deepest DVFS state, no clock gating —
-    /// gating also destroys performance, so "low power mode" in the paper's
-    /// '-L' techniques means the deepest P-state).
-    #[must_use]
-    pub fn min_throttled_power(&self) -> Watts {
-        self.active_power(
-            ThrottleLevel {
-                p: crate::PState::slowest(),
-                t: crate::TState::full(),
-            },
-            Fraction::ONE,
-        )
-    }
 }
 
 impl StableHash for ServerSpec {
@@ -241,15 +226,6 @@ mod tests {
     #[test]
     fn sleep_is_tiny() {
         assert!(ServerSpec::paper_testbed().sleep_power().value() <= 6.0);
-    }
-
-    #[test]
-    fn half_power_reachable_by_dvfs() {
-        // Table 8: the '-L' variants run at ~0.5 of peak power. The deepest
-        // P-state at full utilization must land near or below half peak.
-        let s = ServerSpec::paper_testbed();
-        let frac = s.min_throttled_power() / s.peak_power();
-        assert!(frac < 0.55, "deepest DVFS gives {frac} of peak");
     }
 
     #[test]

@@ -134,11 +134,12 @@ impl TState {
 /// dynamic power.
 ///
 /// ```
-/// use dcb_server::ThrottleLevel;
-/// // Find the deepest level that still delivers >= 50% CPU speed.
-/// let level = ThrottleLevel::cheapest_with_speed(0.5);
-/// assert!(level.effective_speed().value() >= 0.5);
-/// assert!(level.dynamic_power_factor() < 0.5);
+/// use dcb_server::{PState, TState, ThrottleLevel};
+/// // The deepest P-state at full duty: 40 % of the speed for about 13 %
+/// // of the dynamic power.
+/// let level = ThrottleLevel { p: PState::slowest(), t: TState::full() };
+/// assert_eq!(level.effective_speed().value(), 0.4);
+/// assert!(level.dynamic_power_factor() < 0.14);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct ThrottleLevel {
@@ -179,21 +180,6 @@ impl ThrottleLevel {
     #[must_use]
     pub fn dynamic_power_factor(self) -> f64 {
         self.p.dynamic_power_factor() * self.t.duty_cycle().value()
-    }
-
-    /// The most power-frugal level whose effective speed is at least
-    /// `min_speed` (clamped to `[0, 1]`). Falls back to [`Self::NONE`] when
-    /// `min_speed` is 1 or higher.
-    #[must_use]
-    pub fn cheapest_with_speed(min_speed: f64) -> Self {
-        let min_speed = min_speed.clamp(0.0, 1.0);
-        Self::all()
-            .filter(|l| l.effective_speed().value() + 1e-12 >= min_speed)
-            .min_by(|a, b| {
-                a.dynamic_power_factor()
-                    .total_cmp(&b.dynamic_power_factor())
-            })
-            .unwrap_or(Self::NONE)
     }
 }
 
@@ -257,18 +243,7 @@ mod tests {
         assert_eq!(ThrottleLevel::all().count(), 56);
     }
 
-    #[test]
-    fn cheapest_with_full_speed_is_unthrottled() {
-        assert_eq!(ThrottleLevel::cheapest_with_speed(1.0), ThrottleLevel::NONE);
-    }
-
     proptest! {
-        #[test]
-        fn cheapest_with_speed_honors_floor(s in 0.0f64..=1.0) {
-            let level = ThrottleLevel::cheapest_with_speed(s);
-            prop_assert!(level.effective_speed().value() + 1e-9 >= s);
-        }
-
         #[test]
         fn effective_speed_bounds(p in 0u8..7, t in 0u8..8) {
             let level = ThrottleLevel { p: PState::new(p), t: TState::new(t) };

@@ -21,6 +21,14 @@
 //! collision probability negligible (≈ 2⁻⁶⁴ even for billions of keys),
 //! so fingerprints serve directly as cache keys.
 //!
+//! A hasher absorbs its writes one after another, and its state after a
+//! prefix of them is all the rest of the digest depends on. A clone saved
+//! after a prefix that many digests share resumes from there and finishes
+//! at the digest one hasher fed every write would give:
+//! `dcb_fleet::ClusterKey` saves the state after a cluster's encoding,
+//! most of a scenario digest's bytes, and resumes it for every point on
+//! that cluster.
+//!
 //! FNV-1a spends one 128-bit multiply per byte. A key that never leaves
 //! the process (the topology resolver's sibling merges and job dedup) can
 //! use [`StableHasher::words`] instead: the same typed encoding, absorbed
